@@ -23,7 +23,7 @@
 //! and, per size, in a `telemetry` section alongside the stable sweep
 //! counters one sequential walk fires. A `sharded-s{1,2,4}-t{t}` ladder
 //! (the universe split into S in-process fragments, each walked at t
-//! threads, then recombined with `merge_fragments`) prices the shard
+//! threads, then recombined with `merge_panel_fragments`) prices the shard
 //! seam; the `sharded-s2-t1 / parallel-t1` ratio at the largest size
 //! lands as the `shard_merge_overhead` field.
 //!
@@ -43,11 +43,11 @@ use hiding_lcp_bench::report::{self, ReportDoc};
 use hiding_lcp_certs::revealing::{adversary_alphabet, RevealingDecoder};
 use hiding_lcp_core::instance::Instance;
 use hiding_lcp_core::nbhd::{NbhdGraph, NbhdSweep};
-use hiding_lcp_core::properties::hiding::HidingCheck;
+use hiding_lcp_core::properties::hiding::{HidingCheck, HidingVerdict};
 use hiding_lcp_core::verify::telemetry::diff;
 use hiding_lcp_core::verify::{
-    merge_fragments, Block, Coverage, ExecMode, LabelSource, MetricsRecorder, ShardSpec, SweepOpts,
-    SweepSession, Universe, PARALLEL_THRESHOLD,
+    merge_panel_fragments, Block, Coverage, DynPropertyCheck, ExecMode, LabelSource,
+    MetricsRecorder, PropertyTag, ShardSpec, SweepOpts, SweepSession, Universe, PARALLEL_THRESHOLD,
 };
 use hiding_lcp_core::view::IdMode;
 use hiding_lcp_graph::algo::bipartite;
@@ -90,25 +90,27 @@ fn sweep_nbhd(universe: &Universe, mode: ExecMode, opts: SweepOpts) -> NbhdGraph
         .0
 }
 
-/// The sweep split into `shards` in-process fragments (each walked with
-/// `mode` over its contiguous odometer range) and recombined with
-/// [`merge_fragments`] — the cost of the shard seam itself, without the
+/// The sweep split into `shards` in-process one-member panel fragments
+/// (each walked with `mode` over its contiguous odometer range) and
+/// recombined with [`merge_panel_fragments`] — the cost of the shard seam itself, without the
 /// subprocess spawn/serialize overhead the `audit` coordinator adds on
 /// top. `shards = 1` isolates the fragment path's fixed price.
 fn sweep_nbhd_sharded(universe: &Universe, shards: usize, mode: ExecMode) -> NbhdGraph {
     let decoder = RevealingDecoder::new(2);
     let check = HidingCheck::new(&decoder, universe, 2, bipartite::is_bipartite);
+    let members = [DynPropertyCheck::new(PropertyTag::Hiding, "hiding", &check)];
     let fragments = ShardSpec::partition(shards)
         .into_iter()
         .map(|spec| {
             SweepSession::over(universe)
                 .mode(mode)
                 .shard(spec)
-                .run_fragment(&check)
+                .run_panel_fragment(&members)
         })
         .collect();
-    merge_fragments(&check, universe, mode, fragments, None)
+    merge_panel_fragments(&members, universe, mode, fragments, None)
         .expect("complete shard fragments tile the universe")
+        .into_member_report::<(NbhdGraph, HidingVerdict)>(0)
         .verdict
         .0
 }

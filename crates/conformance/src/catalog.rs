@@ -74,13 +74,13 @@ pub const MUTANTS: &[Mutant] = &[
     Mutant {
         name: "checked_off_by_one",
         host: "hiding-lcp-core",
-        site: "short-circuited sweep reports stop_at items checked",
+        site: "panel reduce reports a short-circuited member's stop_at items checked",
         expected_killers: &["short_circuit_count"],
     },
     Mutant {
         name: "chunk_claim_overlap",
         host: "hiding-lcp-core",
-        site: "parallel cursor advances one less than the processed chunk",
+        site: "parallel panel cursor advances one less than the processed chunk",
         expected_killers: &["parallel_chunk_census"],
     },
     Mutant {

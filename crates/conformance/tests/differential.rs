@@ -48,7 +48,8 @@ fn strategies() -> [SweepOpts; 3] {
 fn assert_all_runs_match<C, V>(check: &C, universe: &Universe, expected: &V, what: &str)
 where
     C: hiding_lcp_core::verify::PropertyCheck<Verdict = V>,
-    V: PartialEq + std::fmt::Debug,
+    C::Partial: Clone + 'static,
+    V: PartialEq + std::fmt::Debug + Send + 'static,
 {
     for mode in modes() {
         for opts in strategies() {

@@ -23,10 +23,11 @@
 //!   slot 2 onto slot 2.
 //! * `interner_always_fresh` — the view interner mints a fresh id on
 //!   every call, breaking "distinct id ⟺ distinct view".
-//! * `checked_off_by_one` — a short-circuited sweep reports `stop_at`
-//!   instead of `stop_at + 1` items checked.
-//! * `chunk_claim_overlap` — parallel workers advance the shared cursor
-//!   by one less than the chunk they process, re-inspecting boundaries.
+//! * `checked_off_by_one` — the panel reduce reports a short-circuited
+//!   member's `stop_at` instead of `stop_at + 1` items checked.
+//! * `chunk_claim_overlap` — parallel panel workers advance the shared
+//!   cursor by one less than the chunk they process, re-inspecting
+//!   boundaries.
 //! * `hiding_partial_conclusive` — a partial universe is treated as the
 //!   exhaustive Lemma 3.1 sweep, upgrading `Inconclusive` to a verdict.
 //! * `invariance_skips_node0` — invariance inspection starts at node 1.

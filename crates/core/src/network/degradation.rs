@@ -297,7 +297,8 @@ impl<D: Decoder + ?Sized> PropertyCheck for FalseAcceptProbe<'_, D> {
 /// prove resume-chain determinism.
 ///
 /// Each rate's trials run as one fused two-member panel
-/// ([`crate::verify::sweep_panel`]): the honest availability/strong audit
+/// ([`SweepSession::run_panel`](crate::verify::SweepSession::run_panel)):
+/// the honest availability/strong audit
 /// and the adversarial false-accept audit walk the trial indices once
 /// together. Every per-trial value is a pure function of the sweep
 /// arguments, so the report is byte-identical to the pre-panel

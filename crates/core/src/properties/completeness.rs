@@ -165,9 +165,7 @@ pub fn completeness_member<'a>(
 /// in the LCP's promise class (completeness quantifies over yes-instances
 /// only).
 ///
-/// Runs as a one-member fused panel (see [`crate::verify::sweep_panel`])
-/// — observationally identical to the plain sweep, which the panel
-/// differential suite asserts.
+/// Runs on [`SweepSession::run`], itself a one-member panel walk.
 pub fn check_completeness<D, P, I>(decoder: &D, prover: &P, instances: I) -> CompletenessReport
 where
     D: Decoder + ?Sized,
@@ -180,11 +178,7 @@ where
     let universe = Universe::instances_only(instances, Coverage::Sampled)
         .expect("one item per materialized instance fits usize");
     let check = CompletenessCheck { decoder, prover };
-    let member = DynPropertyCheck::new(PropertyTag::Completeness, "completeness", check);
-    SweepSession::over(&universe)
-        .run_panel(std::slice::from_ref(&member))
-        .into_member_report::<CompletenessReport>(0)
-        .verdict
+    SweepSession::over(&universe).run(&check).verdict
 }
 
 #[cfg(test)]

@@ -154,11 +154,7 @@ pub fn random_erasure_trials<D: Decoder + ?Sized, R: Rng + ?Sized>(
         decoder,
         erased_counts,
     };
-    let member = DynPropertyCheck::new(PropertyTag::Erasure, "erasure", check);
-    SweepSession::over(&universe)
-        .run_panel(std::slice::from_ref(&member))
-        .into_member_report::<Vec<ErasureOutcome>>(0)
-        .verdict
+    SweepSession::over(&universe).run(&check).verdict
 }
 
 /// Produces the erased labeling itself (for feeding into strong-soundness

@@ -216,9 +216,7 @@ where
 /// Builds `V(D, ·)` over `universe` on the engine and classifies its views
 /// by extractability, returning both with the sweep's execution evidence.
 ///
-/// Runs as a one-member fused panel (see [`crate::verify::sweep_panel`])
-/// — observationally identical to the plain sweep, which the panel
-/// differential suite asserts.
+/// Runs on [`SweepSession::run`], itself a one-member panel walk.
 pub fn verify_extractability<D, F>(
     decoder: &D,
     universe: &Universe,
@@ -229,11 +227,7 @@ where
     D: Decoder + ?Sized,
     F: Fn(&Graph) -> bool,
 {
-    let check = QuantifiedCheck::new(decoder, universe, k, is_yes);
-    let member = DynPropertyCheck::new(PropertyTag::Quantified, "quantified", check);
-    SweepSession::over(universe)
-        .run_panel(std::slice::from_ref(&member))
-        .into_member_report(0)
+    SweepSession::over(universe).run(&QuantifiedCheck::new(decoder, universe, k, is_yes))
 }
 
 #[cfg(test)]

@@ -145,9 +145,7 @@ pub fn check_soundness_exhaustive<D: Decoder + ?Sized>(
 /// exhausted budget yields a partial verdict with
 /// [`Coverage::Sampled`] — explicitly *not* a proof of soundness.
 ///
-/// Runs as a one-member fused panel (see
-/// [`crate::verify::sweep_panel`]) — observationally identical to the
-/// plain budgeted sweep, which the panel differential suite asserts.
+/// Runs on [`SweepSession::run`], itself a one-member panel walk.
 pub fn check_soundness_exhaustive_with<D: Decoder + ?Sized>(
     decoder: &D,
     instance: &Instance,
@@ -156,15 +154,10 @@ pub fn check_soundness_exhaustive_with<D: Decoder + ?Sized>(
     budget: &SweepBudget,
 ) -> VerificationReport<Result<usize, SoundnessViolation>> {
     match Universe::all_labelings_of(instance.clone(), alphabet.to_vec(), Coverage::Exhaustive) {
-        Ok(universe) => {
-            let check = SoundnessCheck { decoder };
-            let member = DynPropertyCheck::new(PropertyTag::Soundness, "soundness", check);
-            SweepSession::over(&universe)
-                .mode(mode)
-                .budget(*budget)
-                .run_panel(std::slice::from_ref(&member))
-                .into_member_report(0)
-        }
+        Ok(universe) => SweepSession::over(&universe)
+            .mode(mode)
+            .budget(*budget)
+            .run(&SoundnessCheck { decoder }),
         // |alphabet|^n overflows the flat index space; iterate lazily
         // instead (necessarily sequential, still budgeted).
         Err(_) => LazySweep::of(instance, Coverage::Exhaustive)

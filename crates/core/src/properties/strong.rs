@@ -209,9 +209,7 @@ pub fn check_strong_exhaustive<D: Decoder + ?Sized>(
 /// verdict with [`Coverage::Sampled`] — explicitly *not* a proof of
 /// strong soundness.
 ///
-/// Runs as a one-member fused panel (see
-/// [`crate::verify::sweep_panel`]) — observationally identical to the
-/// plain budgeted sweep, which the panel differential suite asserts.
+/// Runs on [`SweepSession::run`], itself a one-member panel walk.
 pub fn check_strong_exhaustive_with<D: Decoder + ?Sized>(
     decoder: &D,
     language: &KCol,
@@ -221,15 +219,10 @@ pub fn check_strong_exhaustive_with<D: Decoder + ?Sized>(
     budget: &SweepBudget,
 ) -> VerificationReport<Result<usize, StrongViolation>> {
     match Universe::all_labelings_of(instance.clone(), alphabet.to_vec(), Coverage::Exhaustive) {
-        Ok(universe) => {
-            let check = StrongCheck { decoder, language };
-            let member = DynPropertyCheck::new(PropertyTag::Strong, "strong", check);
-            SweepSession::over(&universe)
-                .mode(mode)
-                .budget(*budget)
-                .run_panel(std::slice::from_ref(&member))
-                .into_member_report(0)
-        }
+        Ok(universe) => SweepSession::over(&universe)
+            .mode(mode)
+            .budget(*budget)
+            .run(&StrongCheck { decoder, language }),
         // |alphabet|^n overflows the flat index space; iterate lazily
         // instead (necessarily sequential, still budgeted).
         Err(_) => LazySweep::of(instance, Coverage::Exhaustive)

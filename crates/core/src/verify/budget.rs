@@ -19,7 +19,7 @@
 //!   sweep: the next unvisited index plus the partials and errors
 //!   recorded so far. Because inspection is pure and the visited set is
 //!   always the contiguous prefix `[0, next_index)`, feeding the token
-//!   back into [`super::resume_sweep`] and letting it finish yields the
+//!   back into [`super::SweepSession::resume`] and letting it finish yields the
 //!   *same verdict, partials and checked count* as one uninterrupted
 //!   sweep — bit-identical resume, asserted by the engine parity suite.
 
@@ -78,8 +78,7 @@ impl SweepError {
 /// * `deadline` is wall-clock **per call, per process**. Shards running
 ///   concurrently each get the full allowance; a stalled shard times out
 ///   on its own clock without charging its siblings.
-/// * Merging ([`super::merge_fragments`] /
-///   [`super::merge_panel_fragments`]) never consults the budget: a
+/// * Merging ([`super::merge_panel_fragments`]) never consults the budget: a
 ///   shard interrupted mid-range must be resumed (or re-dispatched) to
 ///   the end of its range before its fragment can merge. The
 ///   `engine_parity` suite pins that an interrupted-then-resumed shard
@@ -134,7 +133,7 @@ impl SweepBudget {
 /// Holds the executor's whole interim state: the next unvisited flat
 /// index (the visited set is always the prefix `[0, next_index)`) plus
 /// every partial and error recorded so far. Pass it to
-/// [`super::resume_sweep`] to continue; the chain of calls reproduces an
+/// [`super::SweepSession::resume`] to continue; the chain of calls reproduces an
 /// uninterrupted sweep's report exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResumeToken<P> {
@@ -158,14 +157,14 @@ impl<P> ResumeToken<P> {
 }
 
 /// The continuation of an interrupted fused panel
-/// ([`super::sweep_panel_budgeted`]).
+/// ([`super::SweepSession::run_panel_budgeted`]).
 ///
 /// One shared `next_index` describes the enumeration frontier — as with
 /// [`ResumeToken`], the visited set is always the contiguous prefix
 /// `[0, next_index)` — while each member keeps its own
 /// [`MemberFrontier`]: its recorded partials and errors, plus its
 /// short-circuit index if it already dropped out of the walk. Feeding the
-/// token to [`super::resume_panel`] continues every still-active member
+/// token to [`super::SweepSession::resume_panel`] continues every still-active member
 /// from the shared frontier; members that stopped are carried through
 /// untouched, so the resumed chain reproduces an uninterrupted panel's
 /// per-member reports exactly.

@@ -195,7 +195,7 @@ pub struct SweepOutcome {
     /// many extra items worker threads touched before noticing the stop.
     ///
     /// **Panel semantics.** In a fused panel
-    /// ([`super::sweep_panel`](crate::verify::sweep_panel)) the count is
+    /// ([`SweepSession::run_panel`](crate::verify::SweepSession::run_panel)) the count is
     /// *per member*: a member that short-circuited at its lowest index
     /// `s_m` receives `checked = s_m + 1` — exactly what its own
     /// single-check sweep would report — while a member that never

@@ -35,13 +35,16 @@
 //!   [`resume`](SweepSession::resume) continues from a deterministic
 //!   [`ResumeToken`] such that the chain reproduces the uninterrupted
 //!   report bit-for-bit;
+//! * there is one walk: the panel loop ([`SweepSession::run_panel`]) runs
+//!   any number of type-erased [`DynPropertyCheck`] members over one
+//!   enumeration, and a typed [`SweepSession::run`] is a one-member panel
+//!   whose verdict is downcast back to the check's own type;
 //! * work shards across processes ([`shard`]): a [`ShardSpec`] restricts a
-//!   session to one of `N` contiguous ranges of the index space, fragments
-//!   ([`SweepSession::run_fragment`] /
-//!   [`run_panel_fragment`](SweepSession::run_panel_fragment)) carry the
-//!   un-reduced walk state, and [`merge_fragments`] /
-//!   [`merge_panel_fragments`] recombine them into the exact
-//!   single-process report, with [`run_shards`] owning dispatch and retry;
+//!   session to one of `N` contiguous ranges of the index space,
+//!   [`PanelFragment`]s ([`SweepSession::run_panel_fragment`]) carry the
+//!   un-reduced walk state, and [`merge_panel_fragments`] recombines them
+//!   into the exact single-process report, with [`run_shards`] owning
+//!   dispatch and retry;
 //! * the hot path is allocation-free: within a chunk, labelings are
 //!   enumerated by *odometer stepping* (one digit of the mixed-radix
 //!   counter per item, into reused per-thread scratch) rather than per-item
@@ -52,10 +55,6 @@
 //!   repeated local configurations. The decode-from-index oracle survives
 //!   as [`SweepStrategy::DecodeOracle`] and the `engine_parity` suite
 //!   proves the two paths observationally identical.
-//!
-//! The pre-builder free functions (`sweep`, `sweep_with`, the
-//! `sweep_panel*` set, …) survive as `#[deprecated]` shims over
-//! [`SweepSession`] and [`LazySweep`].
 //!
 //! The concrete properties live where they always did (in
 //! [`crate::properties`] and [`crate::nbhd`]); what moved here is the
@@ -78,21 +77,10 @@ pub mod universe;
 pub use budget::{MemberFrontier, PanelResumeToken, ResumeToken, SweepBudget, SweepError};
 pub use check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
 pub use erased::{DynPropertyCheck, ErasedPartial, ErasedVerdict, PanelVerdict, PropertyTag};
-#[allow(deprecated)]
 pub use executor::{
-    resume_sweep, resume_sweep_with_opts, sweep, sweep_budgeted, sweep_budgeted_with_opts,
-    sweep_lazy, sweep_lazy_budgeted, sweep_lazy_labeled, sweep_recorded, sweep_with,
-    sweep_with_opts,
-};
-pub use executor::{
-    BudgetedSweep, ExecMode, ItemCtx, SweepFragment, SweepOpts, SweepStrategy, PARALLEL_THRESHOLD,
+    BudgetedSweep, ExecMode, ItemCtx, SweepOpts, SweepStrategy, PARALLEL_THRESHOLD,
 };
 pub use interner::{digit_key, InternerReport, ViewId, ViewInterner};
-#[allow(deprecated)]
-pub use panel::{
-    resume_panel, resume_panel_with_opts, sweep_panel, sweep_panel_budgeted,
-    sweep_panel_budgeted_with_opts, sweep_panel_recorded, sweep_panel_with, sweep_panel_with_opts,
-};
 pub use panel::{BudgetedPanel, PanelFragment, PanelMemberReport, PanelReport};
 pub use plan::{
     AuditMemberReport, AuditPanelReport, AuditPlan, AuditReport, BlockGated, FaultSpec,
@@ -100,8 +88,7 @@ pub use plan::{
 };
 pub use session::{LazySweep, SweepSession};
 pub use shard::{
-    merge_fragments, merge_panel_fragments, run_shards, sum_stable_counters, ShardRunReport,
-    ShardSpec,
+    merge_panel_fragments, run_shards, sum_stable_counters, ShardRunReport, ShardSpec,
 };
 pub use symmetry::SymmetrySpec;
 pub use telemetry::{MetricsRecorder, MetricsSnapshot, SweepCounter, SweepPhase, SweepRecorder};
@@ -399,27 +386,44 @@ mod tests {
         }
     }
 
+    /// `check` as the lone member of a panel: the shape in which a single
+    /// check shards.
+    fn lone<C>(check: &C) -> [DynPropertyCheck<'_>; 1]
+    where
+        C: PropertyCheck,
+        C::Partial: Clone + 'static,
+        C::Verdict: Send + 'static,
+    {
+        [DynPropertyCheck::new(PropertyTag::Custom, "lone", check)]
+    }
+
+    /// The lone member's partials, recovered as the check's own type.
+    fn lone_partials<P: Clone + 'static>(fragment: &PanelFragment) -> Vec<(usize, P)> {
+        fragment.members[0]
+            .partials
+            .iter()
+            .map(|(i, p)| (*i, p.downcast_ref::<P>().expect("lone partial").clone()))
+            .collect()
+    }
+
     #[test]
     fn merged_fragments_equal_the_single_process_sweep() {
         let universe = small_universe();
         let check = CountConstant {
             stop_on_all_ones: false,
         };
-        let full = SweepSession::over(&universe)
-            .mode(ExecMode::Sequential)
-            .run(&check);
+        let session = SweepSession::over(&universe).mode(ExecMode::Sequential);
+        let full = session.run(&check);
+        let members = lone(&check);
         for of in [1usize, 2, 4] {
             let fragments: Vec<_> = ShardSpec::partition(of)
                 .into_iter()
-                .map(|spec| {
-                    SweepSession::over(&universe)
-                        .mode(ExecMode::Sequential)
-                        .shard(spec)
-                        .run_fragment(&check)
-                })
+                .map(|spec| session.shard(spec).run_panel_fragment(&members))
                 .collect();
-            let merged = merge_fragments(&check, &universe, ExecMode::Sequential, fragments, None)
-                .expect("fragments tile the universe");
+            let merged =
+                merge_panel_fragments(&members, &universe, ExecMode::Sequential, fragments, None)
+                    .expect("fragments tile the universe")
+                    .into_member_report::<(usize, Option<usize>)>(0);
             assert_eq!(merged.verdict, full.verdict, "{of} shards");
             assert_eq!(merged.checked, full.checked, "{of} shards");
             assert_eq!(merged.short_circuited, full.short_circuited);
@@ -433,24 +437,23 @@ mod tests {
         // Stops inside shard 0; later shards walk their whole ranges and
         // find nothing, and the merge must still report the global stop.
         let check = StopAtIndex(7);
-        let full = SweepSession::over(&universe)
-            .mode(ExecMode::Sequential)
-            .run(&check);
+        let session = SweepSession::over(&universe).mode(ExecMode::Sequential);
+        let full = session.run(&check);
         assert_eq!(full.verdict, Some(7));
         assert_eq!(full.checked, 8);
+        let members = lone(&check);
         let fragments: Vec<_> = ShardSpec::partition(4)
             .into_iter()
-            .map(|spec| {
-                SweepSession::over(&universe)
-                    .mode(ExecMode::Sequential)
-                    .shard(spec)
-                    .run_fragment(&check)
-            })
+            .map(|spec| session.shard(spec).run_panel_fragment(&members))
             .collect();
-        assert_eq!(fragments[0].stop_at, Some(7));
-        assert!(fragments[1..].iter().all(|f| f.stop_at.is_none()));
-        let merged = merge_fragments(&check, &universe, ExecMode::Sequential, fragments, None)
-            .expect("fragments tile the universe");
+        assert_eq!(fragments[0].members[0].stop_at, Some(7));
+        assert!(fragments[1..]
+            .iter()
+            .all(|f| f.members[0].stop_at.is_none()));
+        let merged =
+            merge_panel_fragments(&members, &universe, ExecMode::Sequential, fragments, None)
+                .expect("fragments tile the universe")
+                .into_member_report::<Option<usize>>(0);
         assert_eq!(merged.verdict, full.verdict);
         assert_eq!(merged.checked, full.checked);
         assert!(merged.short_circuited);
@@ -462,24 +465,24 @@ mod tests {
         let check = CountConstant {
             stop_on_all_ones: false,
         };
-        let spec = ShardSpec::new(0, 2);
+        let members = lone(&check);
         let session = SweepSession::over(&universe)
             .mode(ExecMode::Sequential)
-            .shard(spec);
-        let whole = session.run_fragment(&check);
+            .shard(ShardSpec::new(0, 2));
+        let whole = session.run_panel_fragment(&members);
         assert!(whole.is_complete());
         // Walk the same range 3 items at a time; the chained fragment
         // must equal the uninterrupted one exactly.
         let stepped = session.budget(SweepBudget::unlimited().with_max_items(3));
-        let mut frag = stepped.run_fragment(&check);
+        let mut frag = stepped.run_panel_fragment(&members);
         while !frag.is_complete() {
-            frag = stepped.resume_fragment(&check, frag.into_resume_token());
+            frag = stepped.resume_panel_fragment(&members, frag.into_resume_token());
         }
         assert_eq!(frag.lo, whole.lo);
         assert_eq!(frag.hi, whole.hi);
         assert_eq!(frag.next, whole.next);
-        assert_eq!(frag.stop_at, whole.stop_at);
-        assert_eq!(frag.partials, whole.partials);
+        assert_eq!(frag.members[0].stop_at, whole.members[0].stop_at);
+        assert_eq!(lone_partials::<bool>(&frag), lone_partials::<bool>(&whole));
     }
 
     #[test]
@@ -488,19 +491,18 @@ mod tests {
         let check = CountConstant {
             stop_on_all_ones: false,
         };
-        let frag_of = |spec: ShardSpec| {
-            SweepSession::over(&universe)
-                .mode(ExecMode::Sequential)
-                .shard(spec)
-                .run_fragment(&check)
+        let members = lone(&check);
+        let session = SweepSession::over(&universe).mode(ExecMode::Sequential);
+        let frag_of = |spec: ShardSpec| session.shard(spec).run_panel_fragment(&members);
+        let merge = |fragments: Vec<PanelFragment>| {
+            merge_panel_fragments(&members, &universe, ExecMode::Sequential, fragments, None)
         };
         // Gap: shard 1 of 4 missing.
         let gappy: Vec<_> = [0usize, 2, 3]
             .into_iter()
             .map(|i| frag_of(ShardSpec::new(i, 4)))
             .collect();
-        let err = merge_fragments(&check, &universe, ExecMode::Sequential, gappy, None)
-            .expect_err("a gap must be rejected");
+        let err = merge(gappy).expect_err("a gap must be rejected");
         assert!(err.contains("gap"), "{err}");
         // Overlap: shard 0 of 2 twice plus shard 1 of 2.
         let doubled = vec![
@@ -508,24 +510,16 @@ mod tests {
             frag_of(ShardSpec::new(0, 2)),
             frag_of(ShardSpec::new(1, 2)),
         ];
-        let err = merge_fragments(&check, &universe, ExecMode::Sequential, doubled, None)
-            .expect_err("an overlap must be rejected");
+        let err = merge(doubled).expect_err("an overlap must be rejected");
         assert!(err.contains("overlap"), "{err}");
         // Torn: shard 0 of 2 interrupted mid-range by a budget.
-        let torn = SweepSession::over(&universe)
-            .mode(ExecMode::Sequential)
+        let torn = session
             .shard(ShardSpec::new(0, 2))
             .budget(SweepBudget::unlimited().with_max_items(3))
-            .run_fragment(&check);
+            .run_panel_fragment(&members);
         assert!(!torn.is_complete());
-        let err = merge_fragments(
-            &check,
-            &universe,
-            ExecMode::Sequential,
-            vec![torn, frag_of(ShardSpec::new(1, 2))],
-            None,
-        )
-        .expect_err("a torn fragment must be rejected");
+        let err = merge(vec![torn, frag_of(ShardSpec::new(1, 2))])
+            .expect_err("a torn fragment must be rejected");
         assert!(err.contains("torn"), "{err}");
     }
 

@@ -6,8 +6,9 @@
 //! hiding all quantify over every labeling of the same instances. Run as
 //! individual sweeps, each pays the full enumeration, skeleton-cache
 //! build, and (on the delta path) verdict maintenance again.
-//! [`sweep_panel`] fuses them: it walks the universe once and evaluates
-//! every [`DynPropertyCheck`] member per item, sharing
+//! [`SweepSession::run_panel`](super::SweepSession::run_panel) fuses them:
+//! it walks the universe once and evaluates every [`DynPropertyCheck`]
+//! member per item, sharing
 //!
 //! * **the walk** — one [odometer](super::executor) step per item,
 //!   regardless of member count;
@@ -26,11 +27,20 @@
 //! has stopped or the universe is exhausted. Counts keep sequential
 //! semantics per member (see [`SweepOutcome::checked`]): a member that
 //! stopped at its lowest deciding index `s` reports `checked = s + 1`,
-//! exactly what its own single-check sweep would, which is what lets the
-//! property entry points run through one-member panels unchanged.
+//! exactly what its own single-check sweep would.
 //!
-//! Budgets behave as in [`super::sweep_budgeted`]: the deadline is
-//! checked between items (sequential) or chunk claims (parallel), so the
+//! # One walk
+//!
+//! This module holds the repository's only indexed walk loops, sequential
+//! and parallel. A typed [`SweepSession::run`](super::SweepSession::run)
+//! (and `run_budgeted`, `resume`) wraps its check in a one-member panel
+//! and downcasts the member's verdict, so every indexed sweep — a single
+//! property, a full audit, a shard — rides the same loop.
+//!
+//! Every item inspection runs under `catch_unwind`, so a panicking
+//! decoder becomes a [`SweepError`] naming the item, not a poisoned walk.
+//! Budgets are checked between items (sequential) or chunk claims
+//! (parallel), and a claimed chunk always runs to completion, so the
 //! visited set is always the contiguous prefix `[0, next)`; an
 //! interrupted panel hands back a [`PanelResumeToken`] carrying the
 //! shared frontier plus every member's partials and stop index, and the
@@ -58,9 +68,8 @@ use super::executor::{
     refresh_verdicts, resolve_threads, DeltaDriver, ExecMode, ItemCtx, SkeletonCache, SweepOpts,
     SweepStrategy, VerdictMemo, VerdictScratch, Walker,
 };
-use super::session::SweepSession;
 use super::symmetry::QuotientPlan;
-use super::telemetry::{MetricsRecorder, SweepCounter, SweepPhase, SweepRecorder, WorkerTally};
+use super::telemetry::{SweepCounter, SweepPhase, SweepRecorder, WorkerTally};
 use super::universe::{Coverage, Universe, UniverseItem};
 use crate::decoder::Decoder;
 use crate::view::IdMode;
@@ -143,129 +152,9 @@ pub struct BudgetedPanel {
     /// verdicts cover only the visited prefix.
     pub report: PanelReport,
     /// `Some` exactly when the walk was interrupted; feed it to
-    /// [`resume_panel`] to continue.
+    /// [`SweepSession::resume_panel`](super::SweepSession::resume_panel)
+    /// to continue.
     pub resume: Option<PanelResumeToken>,
-}
-
-/// Fuses `checks` into one walk over `universe` in [`ExecMode::Auto`].
-#[deprecated(note = "use `SweepSession::over(universe).run_panel(checks)`")]
-pub fn sweep_panel(checks: &[DynPropertyCheck<'_>], universe: &Universe) -> PanelReport {
-    SweepSession::over(universe).run_panel(checks)
-}
-
-/// [`sweep_panel`] in an explicit execution mode.
-#[deprecated(note = "use `SweepSession::over(universe).mode(mode).run_panel(checks)`")]
-pub fn sweep_panel_with(
-    checks: &[DynPropertyCheck<'_>],
-    universe: &Universe,
-    mode: ExecMode,
-) -> PanelReport {
-    SweepSession::over(universe).mode(mode).run_panel(checks)
-}
-
-/// [`sweep_panel_with`] under explicit engine options.
-#[deprecated(note = "use `SweepSession::over(universe).mode(mode).opts(opts).run_panel(checks)`")]
-pub fn sweep_panel_with_opts(
-    checks: &[DynPropertyCheck<'_>],
-    universe: &Universe,
-    mode: ExecMode,
-    opts: SweepOpts,
-) -> PanelReport {
-    SweepSession::over(universe)
-        .mode(mode)
-        .opts(opts)
-        .run_panel(checks)
-}
-
-/// [`sweep_panel_with_opts`] with a telemetry recorder attached: the
-/// fused walk streams counters, phase timings and panel/block/chunk
-/// spans into `recorder` (see [`super::telemetry`]). Without the
-/// `telemetry` feature the recorder is inert and this is exactly
-/// [`sweep_panel_with_opts`].
-#[deprecated(note = "use `SweepSession::over(universe).metrics(recorder).run_panel(checks)`")]
-pub fn sweep_panel_recorded(
-    checks: &[DynPropertyCheck<'_>],
-    universe: &Universe,
-    mode: ExecMode,
-    opts: SweepOpts,
-    recorder: &MetricsRecorder,
-) -> PanelReport {
-    SweepSession::over(universe)
-        .mode(mode)
-        .opts(opts)
-        .metrics(recorder)
-        .run_panel(checks)
-}
-
-/// [`sweep_panel_with`] under an execution budget; an expired budget ends
-/// the walk with an `interrupted` report and a [`PanelResumeToken`].
-#[deprecated(note = "use `SweepSession::over(universe).budget(budget).run_panel_budgeted(checks)`")]
-pub fn sweep_panel_budgeted(
-    checks: &[DynPropertyCheck<'_>],
-    universe: &Universe,
-    mode: ExecMode,
-    budget: &SweepBudget,
-) -> BudgetedPanel {
-    SweepSession::over(universe)
-        .mode(mode)
-        .budget(*budget)
-        .run_panel_budgeted(checks)
-}
-
-/// [`sweep_panel_budgeted`] under explicit engine options.
-#[deprecated(
-    note = "use `SweepSession::over(universe).budget(budget).opts(opts).run_panel_budgeted(checks)`"
-)]
-pub fn sweep_panel_budgeted_with_opts(
-    checks: &[DynPropertyCheck<'_>],
-    universe: &Universe,
-    mode: ExecMode,
-    budget: &SweepBudget,
-    opts: SweepOpts,
-) -> BudgetedPanel {
-    SweepSession::over(universe)
-        .mode(mode)
-        .budget(*budget)
-        .opts(opts)
-        .run_panel_budgeted(checks)
-}
-
-/// Continues an interrupted panel from its token under a fresh budget.
-/// The chain of budgeted calls reproduces an uninterrupted panel's
-/// per-member reports exactly.
-#[deprecated(
-    note = "use `SweepSession::over(universe).budget(budget).resume_panel(checks, token)`"
-)]
-pub fn resume_panel(
-    checks: &[DynPropertyCheck<'_>],
-    universe: &Universe,
-    mode: ExecMode,
-    budget: &SweepBudget,
-    token: PanelResumeToken,
-) -> BudgetedPanel {
-    SweepSession::over(universe)
-        .mode(mode)
-        .budget(*budget)
-        .resume_panel(checks, token)
-}
-
-/// [`resume_panel`] under explicit engine options.
-#[deprecated(
-    note = "use `SweepSession::over(universe).budget(budget).opts(opts).resume_panel(checks, token)`"
-)]
-pub fn resume_panel_with_opts(
-    checks: &[DynPropertyCheck<'_>],
-    universe: &Universe,
-    mode: ExecMode,
-    budget: &SweepBudget,
-    token: PanelResumeToken,
-    opts: SweepOpts,
-) -> BudgetedPanel {
-    SweepSession::over(universe)
-        .mode(mode)
-        .budget(*budget)
-        .opts(opts)
-        .resume_panel(checks, token)
 }
 
 /// The member's recorded stop index for a short-circuit at item `i`.
@@ -286,6 +175,9 @@ struct PanelEngine<'e> {
     drivers: Vec<DeltaDriver<'e>>,
     /// Member index → its verdict channel, if it has one.
     member_channel: Vec<Option<usize>>,
+    /// `uses_verdicts[m][b]`: whether member `m` reads its channel's
+    /// delta-maintained verdicts on block `b`, fixed at pass setup.
+    uses_verdicts: Vec<Vec<bool>>,
     hits: &'e AtomicUsize,
     misses: &'e AtomicUsize,
     memo_hits: &'e AtomicUsize,
@@ -303,8 +195,7 @@ struct PanelEngine<'e> {
 /// tally. Panel tallies count *member evaluations*: each (item, active
 /// member) pair is one walk, resolving to one inspect or one orbit
 /// skip — so `items_inspected + items_orbit_skipped == items_walked`
-/// holds member-summed, and a one-member panel tallies exactly like the
-/// single-check executor.
+/// holds member-summed, and a one-member panel tallies one walk per item.
 struct PanelWorker {
     walker: Walker,
     channels: Vec<(VerdictScratch, VerdictMemo)>,
@@ -340,8 +231,8 @@ impl PanelEngine<'_> {
         &self,
         worker: &mut PanelWorker,
         i: usize,
-        active: &mut dyn FnMut(usize) -> bool,
-        record: &mut dyn FnMut(usize, Result<Option<ErasedPartial>, SweepError>),
+        mut active: impl FnMut(usize) -> bool,
+        mut record: impl FnMut(usize, Result<Option<ErasedPartial>, SweepError>),
     ) {
         if self.oracle {
             let buf = self.universe.item(i);
@@ -403,22 +294,9 @@ impl PanelEngine<'_> {
                 multiplicity,
             );
             let check = &self.checks[m];
-            let channel = self.member_channel[m];
-            #[cfg(conformance_mutants)]
-            let channel = match channel {
-                Some(c)
-                    if self.drivers.len() > 1 && crate::mutants::active("panel_channel_swap") =>
-                {
-                    Some((c + 1) % self.drivers.len())
-                }
-                other => other,
-            };
-            let use_verdicts = channel.is_some_and(|c| {
-                check.uses_verdicts(block) && self.drivers[c].verdict_blocks[block]
-            });
             let r = catch_unwind(AssertUnwindSafe(|| {
-                if use_verdicts {
-                    let c = channel.expect("use_verdicts implies a channel");
+                if self.uses_verdicts[m][block] {
+                    let c = self.member_channel[m].expect("uses_verdicts implies a channel");
                     let (scratch, memo) = &mut channels[c];
                     refresh_verdicts(
                         &self.drivers[c],
@@ -469,11 +347,11 @@ struct PanelPass {
     next: usize,
 }
 
-/// The shared engine behind every whole-universe panel entry point (today
-/// that means [`SweepSession`]; the deprecated free functions shim onto
-/// it). `recorder` attaches telemetry (the audit plan passes one through
-/// here to keep budgets and recording composable); phase timings use the
-/// recorder's clock.
+/// The shared engine behind every whole-universe entry point of
+/// [`SweepSession`](super::SweepSession), typed or panel. `recorder`
+/// attaches telemetry (the audit plan passes one through here to keep
+/// budgets and recording composable); phase timings use the recorder's
+/// clock.
 pub(super) fn run_panel(
     checks: &[DynPropertyCheck<'_>],
     universe: &Universe,
@@ -601,10 +479,10 @@ impl PanelFragment {
     }
 }
 
-/// Runs one shard's panel pass over `[lo, hi)` without reducing. Budget
-/// semantics match [`run_fragment`](super::executor): `max_items` caps
-/// this shard's items, `deadline` is wall-clock from this call, and a
-/// budget stop inside the range counts as a budget interruption.
+/// Runs one shard's panel pass over `[lo, hi)` without reducing.
+/// `max_items` caps this shard's items, `deadline` is wall-clock from
+/// this call, and a budget stop inside the range counts as a budget
+/// interruption.
 #[allow(clippy::too_many_arguments)] // the args are the walk's state, not a config
 pub(super) fn run_panel_fragment(
     checks: &[DynPropertyCheck<'_>],
@@ -761,6 +639,23 @@ fn run_panel_pass(
             })
         })
         .collect();
+    #[cfg(conformance_mutants)]
+    if drivers.len() > 1 && crate::mutants::active("panel_channel_swap") {
+        for channel in member_channel.iter_mut().flatten() {
+            *channel = (*channel + 1) % drivers.len();
+        }
+    }
+    let uses_verdicts: Vec<Vec<bool>> = checks
+        .iter()
+        .zip(&member_channel)
+        .map(|(check, channel)| {
+            (0..universe.blocks().len())
+                .map(|b| {
+                    channel.is_some_and(|c| check.uses_verdicts(b) && drivers[c].verdict_blocks[b])
+                })
+                .collect()
+        })
+        .collect();
     let hits = AtomicUsize::new(0);
     let misses = AtomicUsize::new(cache.populated);
     let memo_hits = AtomicUsize::new(0);
@@ -779,6 +674,7 @@ fn run_panel_pass(
         cache: &cache,
         drivers,
         member_channel,
+        uses_verdicts,
         hits: &hits,
         misses: &misses,
         memo_hits: &memo_hits,
@@ -929,6 +825,12 @@ pub(super) fn reduce_panel(
         let check = &checks[m];
         let stopped = stop_at[m] != usize::MAX;
         let checked = if stopped { stop_at[m] + 1 } else { next };
+        #[cfg(conformance_mutants)]
+        let checked = if crate::mutants::active("checked_off_by_one") && stopped {
+            checked - 1
+        } else {
+            checked
+        };
         let member_interrupted = interrupted && !stopped;
         let member_coverage = if member_interrupted || !errors_m.is_empty() {
             Coverage::Sampled
@@ -1001,8 +903,8 @@ fn run_panel_sequential(
     let mut errors: Vec<Vec<SweepError>> = (0..nmem).map(|_| Vec::new()).collect();
     let mut next = end;
     let mut newly_stopped: Vec<usize> = Vec::new();
-    // Span bookkeeping (recorder-only), as in the single-check executor:
-    // one extra `locate` per item detects block transitions.
+    // Span bookkeeping (recorder-only): the sequential walk visits blocks
+    // in order, so one extra `locate` per item detects every transition.
     let mut span_block: Option<usize> = None;
     for i in begin..end {
         if stop_at.iter().all(|&s| s != usize::MAX) {
@@ -1029,8 +931,8 @@ fn run_panel_sequential(
             let parts = &mut partials;
             let errs = &mut errors;
             let stop_view = &stop_at;
-            let mut active = |m: usize| stop_view[m] == usize::MAX;
-            let mut record = |m: usize, r: Result<Option<ErasedPartial>, SweepError>| match r {
+            let active = |m: usize| stop_view[m] == usize::MAX;
+            let record = |m: usize, r: Result<Option<ErasedPartial>, SweepError>| match r {
                 Ok(Some(p)) => {
                     let stop = checks[m].short_circuits(&p);
                     parts[m].push((i, p));
@@ -1041,7 +943,7 @@ fn run_panel_sequential(
                 Ok(None) => {}
                 Err(e) => errs[m].push(e),
             };
-            engine.run_item(&mut worker, i, &mut active, &mut record);
+            engine.run_item(&mut worker, i, active, record);
         }
         for &m in &newly_stopped {
             stop_at[m] = stop_index(i);
@@ -1101,12 +1003,20 @@ fn run_panel_parallel(
                         (0..nmem).map(|_| Vec::new()).collect();
                     loop {
                         // Deadline before claiming; claimed chunks run to
-                        // completion — the visited set stays a contiguous
-                        // prefix, as in the single-check executor.
+                        // completion — the visited set stays the contiguous
+                        // prefix [begin, cursor), which one resume index
+                        // describes.
                         if deadline.is_some_and(|d| Instant::now() >= d) {
                             break;
                         }
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                        let claim = chunk;
+                        #[cfg(conformance_mutants)]
+                        let claim = if crate::mutants::active("chunk_claim_overlap") {
+                            chunk - 1
+                        } else {
+                            claim
+                        };
+                        let start = cursor.fetch_add(claim, Ordering::Relaxed);
                         if start >= end || start > horizon(&stop_at) {
                             break;
                         }
@@ -1118,8 +1028,8 @@ fn run_panel_parallel(
                                 break;
                             }
                             let stops = &stop_at;
-                            let mut active = |m: usize| i <= stops[m].load(Ordering::Relaxed);
-                            let mut record =
+                            let active = |m: usize| i <= stops[m].load(Ordering::Relaxed);
+                            let record =
                                 |m: usize, r: Result<Option<ErasedPartial>, SweepError>| match r {
                                     Ok(Some(p)) => {
                                         let stop = engine.checks[m].short_circuits(&p);
@@ -1131,7 +1041,7 @@ fn run_panel_parallel(
                                     Ok(None) => {}
                                     Err(e) => local_errors[m].push(e),
                                 };
-                            engine.run_item(&mut worker, i, &mut active, &mut record);
+                            engine.run_item(&mut worker, i, active, record);
                         }
                         if let Some(r) = engine.recorder {
                             r.span_exit(&format!("chunk:{start}"));

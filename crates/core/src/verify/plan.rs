@@ -3,7 +3,7 @@
 //! An [`AuditPlan`] names *what* to audit — a decoder, a language, an
 //! instance family, a subset of the seven properties — and [`AuditPlan::run`]
 //! decides *how*: properties quantifying over the same universe shape are
-//! fused into one [`super::sweep_panel`] walk, so the full battery pays for
+//! fused into one [`super::SweepSession::run_panel`] walk, so the full battery pays for
 //! each enumeration once instead of once per property. The shapes are:
 //!
 //! * **labelings** — every labeling of every instance. Soundness, strong

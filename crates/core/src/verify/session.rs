@@ -1,10 +1,8 @@
 //! [`SweepSession`]: the single construction site for every sweep.
 //!
-//! The executor grew ~19 parallel entry points (`sweep`, `sweep_with`,
-//! `sweep_budgeted_with_opts`, the `sweep_panel*` mirror set, …) before
-//! this module existed; adding the shard dimension would have doubled the
-//! count again. `SweepSession` folds every axis — execution mode, strategy
-//! options, budget, telemetry recorder, shard — into one builder:
+//! `SweepSession` folds every axis — execution mode, strategy options,
+//! budget, telemetry recorder, shard — into one builder, so the axes do
+//! not multiply into entry points:
 //!
 //! ```ignore
 //! let report = SweepSession::over(&universe)
@@ -15,8 +13,11 @@
 //!     .run(&check);
 //! ```
 //!
-//! The old free functions survive as `#[deprecated]` shims over this
-//! builder, so the two surfaces cannot drift.
+//! Every indexed run shape goes through the one panel walk: the typed
+//! [`run`](SweepSession::run), [`run_budgeted`](SweepSession::run_budgeted)
+//! and [`resume`](SweepSession::resume) wrap their check in a one-member
+//! [`DynPropertyCheck`] panel and downcast the member's verdict (and resume
+//! token) back to the check's own types.
 //!
 //! # Sharding
 //!
@@ -29,14 +30,12 @@
 //!   When `hi < universe.len()` the report is flagged `interrupted` with
 //!   [`Coverage::Sampled`] — correct, since one shard *is* a sample of
 //!   the universe. Resume tokens never walk past the shard's `hi`.
-//! * [`run_fragment`](SweepSession::run_fragment) /
-//!   [`run_panel_fragment`](SweepSession::run_panel_fragment) produce the
-//!   raw [`SweepFragment`] / [`PanelFragment`] — partials, errors and
-//!   short-circuit frontier over `[lo, hi)` — which
-//!   [`super::shard::merge_fragments`] and
-//!   [`super::shard::merge_panel_fragments`] recombine into a report
+//! * [`run_panel_fragment`](SweepSession::run_panel_fragment) produces
+//!   the raw [`PanelFragment`] — per-member partials, errors and
+//!   short-circuit frontiers over `[lo, hi)` — which
+//!   [`super::shard::merge_panel_fragments`] recombines into a report
 //!   bit-identical to the unsharded run. This is the path the `audit`
-//!   shard coordinator uses.
+//!   shard coordinator uses; a single check shards as a one-member panel.
 //!
 //! # Budget semantics under shards
 //!
@@ -47,10 +46,10 @@
 //! across shards. Both are pinned by `budget` doc-tests and the
 //! `engine_parity` interrupted-shard property.
 
-use super::budget::{PanelResumeToken, ResumeToken, SweepBudget};
+use super::budget::{MemberFrontier, PanelResumeToken, ResumeToken, SweepBudget};
 use super::check::{PropertyCheck, VerificationReport};
-use super::erased::DynPropertyCheck;
-use super::executor::{self, BudgetedSweep, ExecMode, SweepFragment, SweepOpts};
+use super::erased::{DynPropertyCheck, ErasedPartial, PropertyTag};
+use super::executor::{self, BudgetedSweep, ExecMode, SweepOpts};
 use super::panel::{self, BudgetedPanel, PanelFragment, PanelReport};
 use super::shard::ShardSpec;
 use super::telemetry::{MetricsRecorder, SweepRecorder};
@@ -151,129 +150,82 @@ impl<'a> SweepSession<'a> {
         }
     }
 
-    /// A fresh token starting at this session's range start.
-    fn start_token<P>(&self, lo: usize) -> ResumeToken<P> {
-        ResumeToken {
-            next_index: lo,
-            partials: Vec::new(),
-            errors: Vec::new(),
-        }
-    }
-
-    /// On a sharded session, a resume token that has reached the shard's
-    /// `hi` is spent — drop it so resume chains terminate at the shard
-    /// boundary instead of spinning on an empty range.
-    fn clip_resume<V, P>(&self, out: &mut BudgetedSweep<V, P>, hi: usize) {
-        if self.shard.is_some() && out.resume.as_ref().is_some_and(|t| t.next_index >= hi) {
-            out.resume = None;
-        }
-    }
-
-    /// Sweeps `check` over the session's range, ignoring interruption
-    /// bookkeeping (no resume token is built). With an unlimited budget
+    /// Sweeps `check` over the session's range. With an unlimited budget
     /// and no shard this is the classic exhaustive sweep.
-    pub fn run<C: PropertyCheck>(&self, check: &C) -> VerificationReport<C::Verdict> {
-        let (lo, hi) = self.range();
-        let budget = self.clamped_budget(lo, hi);
-        executor::run_resumable(
-            check,
-            self.universe,
-            self.mode,
-            &budget,
-            self.start_token(lo),
-            self.opts,
-            self.recorder,
-            |_, _, _| None,
-        )
-        .report
+    pub fn run<C>(&self, check: &C) -> VerificationReport<C::Verdict>
+    where
+        C: PropertyCheck,
+        C::Partial: Clone + 'static,
+        C::Verdict: Send + 'static,
+    {
+        self.run_budgeted(check).report
     }
 
     /// Sweeps `check` and keeps the resume token when the budget (or the
-    /// shard boundary) interrupts the walk. Requires `Clone` partials —
-    /// the token carries a copy of the frontier.
-    pub fn run_budgeted<C: PropertyCheck>(&self, check: &C) -> BudgetedSweep<C::Verdict, C::Partial>
+    /// shard boundary) interrupts the walk.
+    pub fn run_budgeted<C>(&self, check: &C) -> BudgetedSweep<C::Verdict, C::Partial>
     where
-        C::Partial: Clone,
+        C: PropertyCheck,
+        C::Partial: Clone + 'static,
+        C::Verdict: Send + 'static,
     {
-        let (lo, hi) = self.range();
-        let budget = self.clamped_budget(lo, hi);
-        let mut out = executor::run_resumable(
+        let (lo, _) = self.range();
+        self.resume(
             check,
-            self.universe,
-            self.mode,
-            &budget,
-            self.start_token(lo),
-            self.opts,
-            self.recorder,
-            executor::tokenize,
-        );
-        self.clip_resume(&mut out, hi);
-        out
+            ResumeToken {
+                next_index: lo,
+                ..ResumeToken::start()
+            },
+        )
     }
 
     /// Continues an interrupted sweep from `token`. The combined chain of
     /// runs reproduces the uninterrupted report bit-for-bit.
-    pub fn resume<C: PropertyCheck>(
+    pub fn resume<C>(
         &self,
         check: &C,
         token: ResumeToken<C::Partial>,
     ) -> BudgetedSweep<C::Verdict, C::Partial>
     where
-        C::Partial: Clone,
+        C: PropertyCheck,
+        C::Partial: Clone + 'static,
+        C::Verdict: Send + 'static,
     {
-        let (_, hi) = self.range();
-        let budget = self.clamped_budget(token.next_index, hi);
-        let mut out = executor::run_resumable(
-            check,
-            self.universe,
-            self.mode,
-            &budget,
-            token,
-            self.opts,
-            self.recorder,
-            executor::tokenize,
-        );
-        self.clip_resume(&mut out, hi);
-        out
-    }
-
-    /// Walks the session's range and returns the raw [`SweepFragment`] —
-    /// the shard-merge input — instead of reducing to a verdict.
-    pub fn run_fragment<C: PropertyCheck>(&self, check: &C) -> SweepFragment<C::Partial> {
-        let (lo, hi) = self.range();
-        executor::run_fragment(
-            check,
-            self.universe,
-            self.mode,
-            &self.budget,
-            self.start_token(lo),
-            self.opts,
-            self.recorder,
-            lo,
-            hi,
-        )
-    }
-
-    /// Continues an interrupted fragment walk from `token` (built with
-    /// [`SweepFragment::into_resume_token`]). A fragment chain over
-    /// `[lo, hi)` is bit-identical to one uninterrupted fragment walk.
-    pub fn resume_fragment<C: PropertyCheck>(
-        &self,
-        check: &C,
-        token: ResumeToken<C::Partial>,
-    ) -> SweepFragment<C::Partial> {
-        let (lo, hi) = self.range();
-        executor::run_fragment(
-            check,
-            self.universe,
-            self.mode,
-            &self.budget,
-            token,
-            self.opts,
-            self.recorder,
-            lo,
-            hi,
-        )
+        let member = DynPropertyCheck::new(PropertyTag::Custom, "", check);
+        let token = PanelResumeToken {
+            next_index: token.next_index,
+            members: vec![MemberFrontier {
+                stop_at: None,
+                partials: token
+                    .partials
+                    .into_iter()
+                    .map(|(i, p)| (i, Box::new(p) as ErasedPartial))
+                    .collect(),
+                errors: token.errors,
+            }],
+        };
+        let out = self.resume_panel(std::slice::from_ref(&member), token);
+        let resume = out.resume.map(|token| {
+            let frontier = token.members.into_iter().next().expect("one member");
+            ResumeToken {
+                next_index: token.next_index,
+                partials: frontier
+                    .partials
+                    .into_iter()
+                    .map(|(i, p)| {
+                        let p = p
+                            .downcast::<C::Partial>()
+                            .expect("a one-member panel's partials are its check's");
+                        (i, *p)
+                    })
+                    .collect(),
+                errors: frontier.errors,
+            }
+        });
+        BudgetedSweep {
+            report: out.report.into_member_report(0),
+            resume,
+        }
     }
 
     /// Fuses `checks` into one walk over the session's range.
@@ -284,26 +236,15 @@ impl<'a> SweepSession<'a> {
     /// [`run_panel`](SweepSession::run_panel) keeping the panel resume
     /// token when the walk is interrupted.
     pub fn run_panel_budgeted(&self, checks: &[DynPropertyCheck<'_>]) -> BudgetedPanel {
-        let (lo, hi) = self.range();
-        let budget = self.clamped_budget(lo, hi);
+        let (lo, _) = self.range();
         let mut token = PanelResumeToken::start(checks.len());
         token.next_index = lo;
-        let mut out = panel::run_panel(
-            checks,
-            self.universe,
-            self.mode,
-            &budget,
-            token,
-            self.opts,
-            self.recorder,
-        );
-        if self.shard.is_some() && out.resume.as_ref().is_some_and(|t| t.next_index >= hi) {
-            out.resume = None;
-        }
-        out
+        self.resume_panel(checks, token)
     }
 
-    /// Continues an interrupted panel from `token`.
+    /// Continues an interrupted panel from `token`. On a sharded session,
+    /// a token that has reached the shard's `hi` is spent and dropped, so
+    /// resume chains terminate at the shard boundary.
     pub fn resume_panel(
         &self,
         checks: &[DynPropertyCheck<'_>],
@@ -432,7 +373,8 @@ impl<'a> LazySweep<'a> {
             "LazySweep::run needs a fixed instance; build with LazySweep::of \
              (LazySweep::labeled sources fire with run_labeled)",
         );
-        executor::run_lazy(check, instance, labelings, self.coverage, &self.budget)
+        let universe = executor::single_instance(instance.clone(), self.coverage);
+        executor::run_lazy(check, &universe, labelings, &self.budget, |l| (l, None))
     }
 
     /// Sweeps `check` over labeled instances pulled from `items`.
@@ -441,6 +383,15 @@ impl<'a> LazySweep<'a> {
         check: &C,
         items: impl IntoIterator<Item = LabeledInstance>,
     ) -> VerificationReport<C::Verdict> {
-        executor::run_lazy_labeled(check, items, self.coverage, &self.budget)
+        // invariant: zero blocks sum to zero items — overflow is impossible.
+        let universe =
+            Universe::new(Vec::new(), self.coverage).expect("an empty universe cannot overflow");
+        executor::run_lazy(check, &universe, items, &self.budget, |li| {
+            let (instance, labeling) = li.into_parts();
+            (
+                labeling,
+                Some(executor::single_instance(instance, self.coverage)),
+            )
+        })
     }
 }

@@ -14,13 +14,12 @@
 //!
 //! # Merge
 //!
-//! [`merge_fragments`] / [`merge_panel_fragments`] validate that the
-//! fragments *tile* the universe exactly (no gap, no overlap, nothing
+//! [`merge_panel_fragments`] validates that the fragments *tile* the universe exactly (no gap, no overlap, nothing
 //! torn), compose the short-circuit frontier (the global stop is the
 //! minimum over shards — exactly the `fetch_min` rule worker threads
 //! already obey within one process), apply the same retention rule the
-//! sequential walk applies, and then run the one reduce a single-process
-//! sweep would have run. Orbit multiplicities under
+//! sequential walk applies, and then runs the one reduce a single-process
+//! walk would have run. A single check shards as a one-member panel. Orbit multiplicities under
 //! [`SweepStrategy::Quotient`] need no special handling: a representative's
 //! multiplicity is a function of the item alone, so weighted partials
 //! compose by concatenation.
@@ -37,12 +36,11 @@
 //! [`SweepStrategy::Quotient`]: super::SweepStrategy::Quotient
 
 use super::budget::SweepError;
-use super::check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
-use super::erased::DynPropertyCheck;
-use super::executor::{resolve_threads, ExecMode, SweepFragment};
+use super::erased::{DynPropertyCheck, ErasedPartial};
+use super::executor::{resolve_threads, ExecMode};
 use super::panel::{reduce_panel, PanelFragment, PanelReport, PanelWalkStats};
-use super::telemetry::{SweepCounter, SweepPhase, SweepRecorder};
-use super::universe::{Coverage, Universe};
+use super::telemetry::{SweepCounter, SweepRecorder};
+use super::universe::Universe;
 use std::time::Instant;
 
 /// One of `of` contiguous shards of a universe's flat index space.
@@ -202,144 +200,66 @@ pub fn run_shards<T>(
     })
 }
 
-/// Checks that `fragments` (any order) tile `[0, n)` exactly and are all
-/// complete; returns them sorted by range start. `what` names the
-/// fragment kind in error messages.
-fn validate_tiling<F>(
-    mut fragments: Vec<F>,
+/// Checks that `fragments` (any order) tile `[0, n)` exactly, are all
+/// complete and each describe `nmem` members; returns them sorted by
+/// range start.
+fn validate_tiling(
+    mut fragments: Vec<PanelFragment>,
     n: usize,
-    what: &str,
-    range_of: impl Fn(&F) -> (usize, usize),
-    complete: impl Fn(&F) -> bool,
-) -> Result<Vec<F>, String> {
+    nmem: usize,
+) -> Result<Vec<PanelFragment>, String> {
     if fragments.is_empty() {
-        return Err(format!("no {what}s to merge"));
+        return Err("no panel fragments to merge".to_string());
     }
-    fragments.sort_by_key(|f| range_of(f).0);
+    fragments.sort_by_key(|f| f.lo);
     let mut expect = 0usize;
     for f in &fragments {
-        let (lo, hi) = range_of(f);
+        let (lo, hi) = (f.lo, f.hi);
         if lo != expect {
             return Err(if lo > expect {
-                format!("{what}s leave a gap: [{expect}, {lo}) is uncovered")
+                format!("panel fragments leave a gap: [{expect}, {lo}) is uncovered")
             } else {
-                format!("{what}s overlap: [{lo}, {expect}) is covered twice")
+                format!("panel fragments overlap: [{lo}, {expect}) is covered twice")
             });
         }
         if hi < lo {
-            return Err(format!("{what} range [{lo}, {hi}) is inverted"));
+            return Err(format!("panel fragment range [{lo}, {hi}) is inverted"));
         }
-        if !complete(f) {
+        if !f.is_complete() {
             return Err(format!(
-                "{what} over [{lo}, {hi}) is torn: its walk did not finish the range"
+                "panel fragment over [{lo}, {hi}) is torn: its walk did not finish the range"
             ));
         }
         expect = hi;
     }
     if expect != n {
         return Err(format!(
-            "{what}s cover [0, {expect}) but the universe has {n} items"
+            "panel fragments cover [0, {expect}) but the universe has {n} items"
+        ));
+    }
+    // Range errors take precedence over a member-count mismatch.
+    if let Some(f) = fragments.iter().find(|f| f.members.len() != nmem) {
+        return Err(format!(
+            "panel fragment over [{}, {}) describes {} members, expected {nmem}",
+            f.lo,
+            f.hi,
+            f.members.len()
         ));
     }
     Ok(fragments)
 }
 
-/// Merges single-check shard fragments into the report a single-process
-/// sweep over the whole universe would produce.
+/// Merges panel shard fragments into the report a single-process fused
+/// panel over the whole universe would produce.
 ///
 /// The fragments must tile `[0, universe.len())` exactly and be complete
-/// (use the coordinator's retry to replace torn ones). The global
-/// short-circuit frontier is the minimum `stop_at` over fragments, and
-/// partials/errors past it are discarded — the same rule the in-process
-/// parallel walk applies across threads. `mode` is only consulted for the
-/// report's `threads` field, which mirrors what the equivalent unsharded
-/// run would have used.
-pub fn merge_fragments<C: PropertyCheck>(
-    check: &C,
-    universe: &Universe,
-    mode: ExecMode,
-    fragments: Vec<SweepFragment<C::Partial>>,
-    recorder: Option<&dyn SweepRecorder>,
-) -> Result<VerificationReport<C::Verdict>, String> {
-    let start = Instant::now();
-    let n = universe.len();
-    let fragments = validate_tiling(
-        fragments,
-        n,
-        "fragment",
-        |f| (f.lo, f.hi),
-        SweepFragment::is_complete,
-    )?;
-    if let Some(r) = recorder {
-        r.add(SweepCounter::ShardMerges, 1);
-        r.span_enter("merge");
-    }
-    let stop = fragments.iter().filter_map(|f| f.stop_at).min();
-    let mut partials: Vec<(usize, C::Partial)> = Vec::new();
-    let mut errors: Vec<SweepError> = Vec::new();
-    // Fragments are sorted by disjoint ranges and internally sorted, so
-    // concatenation preserves index order.
-    for f in fragments {
-        partials.extend(f.partials);
-        errors.extend(f.errors);
-    }
-    if let Some(s) = stop {
-        partials.retain(|&(i, _)| i <= s);
-        errors.retain(|e| e.item_index <= s);
-    }
-    let short_circuited = stop.is_some();
-    let checked = match stop {
-        Some(s) => s + 1,
-        None => n,
-    };
-    let coverage = if errors.is_empty() {
-        universe.coverage()
-    } else {
-        Coverage::Sampled
-    };
-    let outcome = SweepOutcome {
-        checked,
-        universe_size: n,
-        short_circuited,
-    };
-    let reduce_start = recorder.map(|r| r.now_micros());
-    let verdict = check.reduce(universe, partials, &outcome);
-    if let (Some(r), Some(t0)) = (recorder, reduce_start) {
-        r.record_phase(SweepPhase::Reduce, r.now_micros().saturating_sub(t0));
-    }
-    let interner = check.interner_report();
-    if let (Some(r), Some(report)) = (recorder, &interner) {
-        report.record_into(r);
-    }
-    if let Some(r) = recorder {
-        r.span_exit("merge");
-    }
-    Ok(VerificationReport {
-        verdict,
-        evidence: ExecEvidence {
-            checked,
-            universe_size: n,
-            short_circuited,
-            interrupted: false,
-            coverage,
-            errors,
-            cache_hits: 0,
-            cache_misses: 0,
-            memo_hits: 0,
-            memo_misses: 0,
-            elapsed: start.elapsed(),
-            threads: resolve_threads(mode, n),
-            interner,
-        },
-    })
-}
-
-/// Merges panel shard fragments into the report a single-process fused
-/// panel over the whole universe would produce. Validation, frontier
-/// composition and retention follow [`merge_fragments`], applied per
-/// member; the reduce is the very [`reduce_panel`] the live panel runs,
-/// so member verdicts, `checked` counts and coverage are structurally
-/// identical to the unsharded report. The walk counters (cache/memo hits)
+/// (use the coordinator's retry to replace torn ones). Each member's
+/// global short-circuit frontier is the minimum `stop_at` over fragments,
+/// and its partials/errors past it are discarded — the same rule the
+/// in-process parallel walk applies across threads. `mode` is only
+/// consulted for the report's `threads` field. The reduce is the very
+/// [`reduce_panel`] the live panel runs, so member verdicts, `checked`
+/// counts and coverage are structurally identical to the unsharded report. The walk counters (cache/memo hits)
 /// are reported as zero — they are observed, not stable, and the stable
 /// rendering never reads them.
 pub fn merge_panel_fragments(
@@ -352,28 +272,12 @@ pub fn merge_panel_fragments(
     let start = Instant::now();
     let n = universe.len();
     let nmem = checks.len();
-    let fragments = validate_tiling(
-        fragments,
-        n,
-        "panel fragment",
-        |f| (f.lo, f.hi),
-        PanelFragment::is_complete,
-    )?;
-    for f in &fragments {
-        if f.members.len() != nmem {
-            return Err(format!(
-                "panel fragment over [{}, {}) describes {} members, expected {nmem}",
-                f.lo,
-                f.hi,
-                f.members.len()
-            ));
-        }
-    }
+    let fragments = validate_tiling(fragments, n, nmem)?;
     if let Some(r) = recorder {
         r.add(SweepCounter::ShardMerges, 1);
         r.span_enter("merge");
     }
-    let mut member_partials: Vec<Vec<(usize, super::erased::ErasedPartial)>> =
+    let mut member_partials: Vec<Vec<(usize, ErasedPartial)>> =
         (0..nmem).map(|_| Vec::new()).collect();
     let mut member_errors: Vec<Vec<SweepError>> = (0..nmem).map(|_| Vec::new()).collect();
     let mut stop_at = vec![usize::MAX; nmem];

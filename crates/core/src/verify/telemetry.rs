@@ -4,8 +4,8 @@
 //! # Recorder contract
 //!
 //! * **Attachment is opt-in.** The recorded entry points
-//!   ([`sweep_recorded`](super::sweep_recorded),
-//!   [`sweep_panel_recorded`](super::sweep_panel_recorded),
+//!   ([`SweepSession::recorder`](super::SweepSession::recorder) /
+//!   [`metrics`](super::SweepSession::metrics),
 //!   [`AuditPlan::telemetry`](super::AuditPlan::telemetry)) thread a
 //!   recorder through the engine; every other entry point runs with no
 //!   recorder and pays nothing beyond per-item stack-local `u64`

@@ -69,7 +69,8 @@ fn cycle_or_path(shape: u8, n: usize) -> Instance {
 fn assert_parity<C>(check: &C, universe: &Universe) -> Result<(), TestCaseError>
 where
     C: PropertyCheck,
-    C::Verdict: PartialEq + std::fmt::Debug,
+    C::Partial: Clone + 'static,
+    C::Verdict: PartialEq + std::fmt::Debug + Send + 'static,
 {
     let seq = SweepSession::over(universe)
         .mode(ExecMode::Sequential)
@@ -96,7 +97,8 @@ fn assert_opts_parity<C>(
 ) -> Result<(), TestCaseError>
 where
     C: PropertyCheck,
-    C::Verdict: PartialEq + std::fmt::Debug,
+    C::Partial: Clone + 'static,
+    C::Verdict: PartialEq + std::fmt::Debug + Send + 'static,
 {
     let reference = SweepSession::over(universe)
         .mode(ExecMode::Sequential)

@@ -63,8 +63,6 @@ blessed_surface![
     hiding_lcp::core::verify::PanelResumeToken,
     hiding_lcp::core::verify::ResumeToken,
     hiding_lcp::core::verify::ShardRunReport,
-    hiding_lcp::core::verify::SweepFragment,
-    hiding_lcp::core::verify::merge_fragments,
     hiding_lcp::core::verify::merge_panel_fragments,
     hiding_lcp::core::verify::run_shards,
     hiding_lcp::core::verify::sum_stable_counters,
