@@ -128,7 +128,7 @@ fn sweep_nbhd_recorded(
     SweepSession::over(universe)
         .mode(mode)
         .opts(opts)
-        .metrics(recorder)
+        .recorder(recorder)
         .run(&check)
         .verdict
         .0

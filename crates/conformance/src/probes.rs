@@ -1038,7 +1038,7 @@ fn telemetry_quotient_partition() {
     let report = SweepSession::over(&universe)
         .mode(ExecMode::Sequential)
         .opts(SweepOpts::quotient())
-        .metrics(&recorder)
+        .recorder(&recorder)
         .run(&OrbitProbe);
     assert_eq!(report.verdict, 1 << N, "multiplicities must sum to 2^n");
 
@@ -1082,7 +1082,7 @@ fn telemetry_span_balance() {
     };
     SweepSession::over(&universe)
         .mode(ExecMode::Sequential)
-        .metrics(&recorder)
+        .recorder(&recorder)
         .run(&check);
     assert!(
         recorder.trace_balanced(),

@@ -511,7 +511,7 @@ fn recorded_soundness_and_strong_match_oracle_with_invariants() {
                 let report = SweepSession::over(&universe)
                     .mode(mode)
                     .opts(opts)
-                    .metrics(&recorder)
+                    .recorder(&recorder)
                     .run(&check);
                 assert_eq!(report.verdict, sound_expected, "recorded soundness");
                 assert_counter_invariants(
@@ -531,7 +531,7 @@ fn recorded_soundness_and_strong_match_oracle_with_invariants() {
                 let report = SweepSession::over(&universe)
                     .mode(mode)
                     .opts(opts)
-                    .metrics(&recorder)
+                    .recorder(&recorder)
                     .run(&check);
                 assert_eq!(report.verdict, strong_expected, "recorded strong");
                 assert_counter_invariants(
@@ -597,7 +597,7 @@ fn recorded_quotient_walk_partitions_the_labeling_space() {
             let report = SweepSession::over(&universe)
                 .mode(mode)
                 .opts(SweepOpts::quotient())
-                .metrics(&recorder)
+                .recorder(&recorder)
                 .run(&check);
             let snap = recorder.snapshot();
             let get = |name: &str| snap.get(name).unwrap_or(0);
@@ -639,7 +639,7 @@ fn recorded_panel_matches_plain_panel_with_invariants() {
             let recorded = SweepSession::over(&universe)
                 .mode(mode)
                 .opts(opts)
-                .metrics(&recorder)
+                .recorder(&recorder)
                 .run_panel(&members);
             for (a, b) in plain.members.iter().zip(&recorded.members) {
                 assert_eq!(a.checked, b.checked, "{}", a.label);

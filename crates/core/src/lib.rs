@@ -40,7 +40,7 @@
 //!   ([`verify`]): typed-coverage instance universes, the
 //!   [`verify::PropertyCheck`] map/reduce interface, a shared
 //!   view-canonicalization cache, and a sequential-identical parallel
-//!   sweep executor (default-on `parallel` feature).
+//!   sweep executor.
 //!
 //! # Quick start
 //!

@@ -126,12 +126,6 @@ impl<'a, D: Decoder + ?Sized> HidingCheck<'a, D> {
             k,
         }
     }
-
-    /// The underlying Lemma 3.1 sweep, for shard-report reconstruction
-    /// (see [`NbhdSweep::reconstruct_scan`]).
-    pub(crate) fn sweep(&self) -> &NbhdSweep<'a, D> {
-        &self.sweep
-    }
 }
 
 impl<D: Decoder + ?Sized> PropertyCheck for HidingCheck<'_, D> {
@@ -203,19 +197,25 @@ where
         PropertyTag::Hiding,
         "hiding",
         HidingCheck::new(decoder, universe, k, is_yes),
-        |(_, v): &(NbhdGraph, HidingVerdict)| match v {
-            HidingVerdict::Hiding { .. } => (Some(true), "V(D, .) is not k-colorable".into()),
-            HidingVerdict::NotHiding { .. } => (
-                Some(false),
-                "V(D, .) is k-colorable over an exhaustive universe".into(),
-            ),
-            HidingVerdict::Inconclusive => (
-                None,
-                "V(D, .) k-colorable but the universe was partial".into(),
-            ),
-        },
+        |(_, v): &(NbhdGraph, HidingVerdict)| hiding_line(v),
     )
     .with_channel(decoder)
+}
+
+/// A hiding verdict's report line, `(passed, detail)` — the one text
+/// [`hiding_member`] and the audit plan's fused Lemma 3.1 scan share.
+pub(crate) fn hiding_line(verdict: &HidingVerdict) -> (Option<bool>, String) {
+    match verdict {
+        HidingVerdict::Hiding { .. } => (Some(true), "V(D, .) is not k-colorable".into()),
+        HidingVerdict::NotHiding { .. } => (
+            Some(false),
+            "V(D, .) is k-colorable over an exhaustive universe".into(),
+        ),
+        HidingVerdict::Inconclusive => (
+            None,
+            "V(D, .) k-colorable but the universe was partial".into(),
+        ),
+    }
 }
 
 /// Checks hiding of `decoder` on the engine: sweeps `universe`, builds

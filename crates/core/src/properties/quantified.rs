@@ -122,12 +122,6 @@ impl<'a, D: Decoder + ?Sized> QuantifiedCheck<'a, D> {
             k,
         }
     }
-
-    /// The underlying Lemma 3.1 sweep, for shard-report reconstruction
-    /// (see [`NbhdSweep::reconstruct_scan`]).
-    pub(crate) fn sweep(&self) -> &NbhdSweep<'a, D> {
-        &self.sweep
-    }
 }
 
 impl<D: Decoder + ?Sized> PropertyCheck for QuantifiedCheck<'_, D> {
@@ -199,18 +193,23 @@ where
         PropertyTag::Quantified,
         "quantified",
         QuantifiedCheck::new(decoder, universe, k, is_yes),
-        |(nbhd, map): &(NbhdGraph, ExtractabilityMap)| {
-            (
-                None,
-                format!(
-                    "{} of {} views unextractable",
-                    map.unextractable_views(),
-                    nbhd.view_count()
-                ),
-            )
-        },
+        |(nbhd, map): &(NbhdGraph, ExtractabilityMap)| quantified_line(nbhd, map),
     )
     .with_channel(decoder)
+}
+
+/// An extractability map's report line, `(passed, detail)` — informational,
+/// so `passed` is `None`. The one text [`quantified_member`] and the audit
+/// plan's fused Lemma 3.1 scan share.
+pub(crate) fn quantified_line(nbhd: &NbhdGraph, map: &ExtractabilityMap) -> (Option<bool>, String) {
+    let views = nbhd.view_count();
+    (
+        None,
+        format!(
+            "{} of {views} views unextractable",
+            map.unextractable_views()
+        ),
+    )
 }
 
 /// Builds `V(D, ·)` over `universe` on the engine and classifies its views

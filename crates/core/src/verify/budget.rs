@@ -15,13 +15,15 @@
 //!   `interrupted` report (again [`super::Coverage::Sampled`] — an
 //!   interrupted `Exhaustive` sweep proves nothing universal) instead of
 //!   running unbounded.
-//! * [`ResumeToken`] — everything needed to continue an interrupted
-//!   sweep: the next unvisited index plus the partials and errors
-//!   recorded so far. Because inspection is pure and the visited set is
+//! * [`PanelResumeToken`] — everything needed to continue an interrupted
+//!   sweep: the next unvisited index plus each member's partials, errors
+//!   and stop index. Because inspection is pure and the visited set is
 //!   always the contiguous prefix `[0, next_index)`, feeding the token
-//!   back into [`super::SweepSession::resume`] and letting it finish yields the
-//!   *same verdict, partials and checked count* as one uninterrupted
-//!   sweep — bit-identical resume, asserted by the engine parity suite.
+//!   back into [`super::SweepSession::resume`] (or
+//!   [`resume_panel`](super::SweepSession::resume_panel)) and letting it
+//!   finish yields the *same verdict, partials and checked count* as one
+//!   uninterrupted sweep — bit-identical resume, asserted by the engine
+//!   parity suite. A typed sweep's token is a one-member panel token.
 
 use std::any::Any;
 use std::time::Duration;
@@ -128,40 +130,26 @@ impl SweepBudget {
     }
 }
 
-/// The continuation of an interrupted sweep.
-///
-/// Holds the executor's whole interim state: the next unvisited flat
-/// index (the visited set is always the prefix `[0, next_index)`) plus
-/// every partial and error recorded so far. Pass it to
-/// [`super::SweepSession::resume`] to continue; the chain of calls reproduces an
-/// uninterrupted sweep's report exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResumeToken<P> {
-    /// First flat index not yet visited.
-    pub next_index: usize,
-    /// Partials recorded in `[0, next_index)`, sorted by index.
-    pub partials: Vec<(usize, P)>,
-    /// Errors recorded in `[0, next_index)`, sorted by index.
-    pub errors: Vec<SweepError>,
+/// A budgeted sweep's result: the (possibly partial) report — a typed
+/// [`super::VerificationReport`] or a [`super::PanelReport`] — plus the
+/// continuation when the budget interrupted the walk.
+pub struct BudgetedSweep<R> {
+    /// The report. When it is flagged `interrupted`, verdicts cover only
+    /// the visited prefix and coverage is [`super::Coverage::Sampled`].
+    pub report: R,
+    /// `Some` exactly when the walk was interrupted; feed it to
+    /// [`super::SweepSession::resume`] (typed) or
+    /// [`super::SweepSession::resume_panel`] to continue.
+    pub resume: Option<PanelResumeToken>,
 }
 
-impl<P> ResumeToken<P> {
-    /// The token a fresh (never-started) sweep resumes from.
-    pub fn start() -> ResumeToken<P> {
-        ResumeToken {
-            next_index: 0,
-            partials: Vec::new(),
-            errors: Vec::new(),
-        }
-    }
-}
-
-/// The continuation of an interrupted fused panel
-/// ([`super::SweepSession::run_panel_budgeted`]).
+/// The continuation of an interrupted sweep or fused panel
+/// ([`super::SweepSession::run_budgeted`],
+/// [`super::SweepSession::run_panel_budgeted`]).
 ///
-/// One shared `next_index` describes the enumeration frontier — as with
-/// [`ResumeToken`], the visited set is always the contiguous prefix
-/// `[0, next_index)` — while each member keeps its own
+/// One shared `next_index` describes the enumeration frontier — the
+/// visited set is always the contiguous prefix `[0, next_index)` — while
+/// each member keeps its own
 /// [`MemberFrontier`]: its recorded partials and errors, plus its
 /// short-circuit index if it already dropped out of the walk. Feeding the
 /// token to [`super::SweepSession::resume_panel`] continues every still-active member

@@ -115,7 +115,7 @@ trait ErasedCheck: Sync {
 /// member index.
 struct ErasedMember<C: PropertyCheck> {
     check: C,
-    summarize: Option<Summarizer<C::Verdict>>,
+    summarize: Summarizer<C::Verdict>,
 }
 
 /// A member's verdict-to-report-line projection: `(passed, detail)`.
@@ -200,10 +200,7 @@ where
         let verdict = verdict
             .downcast_ref::<C::Verdict>()
             .expect("panel verdict belongs to this member");
-        match self.summarize {
-            Some(f) => f(verdict),
-            None => (None, String::new()),
-        }
+        (self.summarize)(verdict)
     }
 }
 
@@ -240,15 +237,7 @@ impl<'a> DynPropertyCheck<'a> {
         C::Partial: Any + Clone,
         C::Verdict: Any + Send,
     {
-        DynPropertyCheck {
-            tag,
-            label: label.into(),
-            channel_key: None,
-            inner: Box::new(ErasedMember {
-                check,
-                summarize: None,
-            }),
-        }
+        DynPropertyCheck::with_summary(tag, label, check, |_| (None, String::new()))
     }
 
     /// Like [`DynPropertyCheck::new`], additionally attaching a verdict
@@ -269,10 +258,7 @@ impl<'a> DynPropertyCheck<'a> {
             tag,
             label: label.into(),
             channel_key: None,
-            inner: Box::new(ErasedMember {
-                check,
-                summarize: Some(summarize),
-            }),
+            inner: Box::new(ErasedMember { check, summarize }),
         }
     }
 
@@ -366,12 +352,9 @@ impl PropertyCheck for DynPropertyCheck<'_> {
 }
 
 /// One member's final verdict inside a panel report: the boxed concrete
-/// verdict plus the member's own summary of it.
+/// verdict plus the member's own summary of it. The member's tag and
+/// label live on the enclosing [`super::PanelMemberReport`].
 pub struct PanelVerdict {
-    /// The member's property tag.
-    pub tag: PropertyTag,
-    /// The member's label.
-    pub label: String,
     /// `Some(true)` = property held, `Some(false)` = violated, `None` =
     /// the member attached no pass/fail summary.
     pub passed: Option<bool>,
@@ -381,16 +364,8 @@ pub struct PanelVerdict {
 }
 
 impl PanelVerdict {
-    pub(super) fn new(
-        tag: PropertyTag,
-        label: String,
-        passed: Option<bool>,
-        detail: String,
-        value: ErasedVerdict,
-    ) -> PanelVerdict {
+    pub(super) fn new(passed: Option<bool>, detail: String, value: ErasedVerdict) -> PanelVerdict {
         PanelVerdict {
-            tag,
-            label,
             passed,
             detail,
             value,
@@ -415,8 +390,6 @@ impl PanelVerdict {
 impl std::fmt::Debug for PanelVerdict {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PanelVerdict")
-            .field("tag", &self.tag)
-            .field("label", &self.label)
             .field("passed", &self.passed)
             .field("detail", &self.detail)
             .finish_non_exhaustive()

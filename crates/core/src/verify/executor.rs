@@ -42,7 +42,7 @@
 //! equal protos additionally share a *class id* (assigned in build order,
 //! hence deterministic), the anchor of every digit-key memo.
 
-use super::budget::{ResumeToken, SweepBudget, SweepError};
+use super::budget::{SweepBudget, SweepError};
 use super::check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
 use super::interner::digit_key;
 use super::telemetry::WorkerTally;
@@ -59,14 +59,12 @@ use std::time::Instant;
 /// How to drive the sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Parallel when the `parallel` feature is on, the machine has more
-    /// than one core, and the universe is large enough to amortize thread
-    /// startup; sequential otherwise.
+    /// Parallel when the machine has more than one core and the universe
+    /// is large enough to amortize thread startup; sequential otherwise.
     Auto,
     /// Always single-threaded, in index order.
     Sequential,
-    /// Exactly this many worker threads (values ≤ 1 run sequentially;
-    /// without the `parallel` feature this falls back to sequential).
+    /// Exactly this many worker threads (values ≤ 1 run sequentially).
     /// Below [the small-universe threshold](PARALLEL_THRESHOLD) this also
     /// runs sequentially: thread startup dominates such sweeps, and the
     /// determinism contract makes the fallback observationally invisible.
@@ -333,18 +331,6 @@ impl ItemCtx<'_> {
     }
 }
 
-/// A budgeted sweep's result: the (possibly partial) report, plus the
-/// continuation when the budget interrupted the sweep.
-pub struct BudgetedSweep<V, P> {
-    /// The report. When `report.interrupted` is set, the verdict covers
-    /// only the visited prefix and `report.coverage` is
-    /// [`Coverage::Sampled`].
-    pub report: VerificationReport<V>,
-    /// `Some` exactly when the sweep was interrupted; feed it to
-    /// [`SweepSession::resume`](super::SweepSession::resume) to continue.
-    pub resume: Option<ResumeToken<P>>,
-}
-
 /// A one-block universe holding the bare `instance`: the synthetic
 /// universe a lazy sweep over labelings of one instance reduces against.
 pub(super) fn single_instance(instance: Instance, coverage: Coverage) -> Universe {
@@ -456,7 +442,7 @@ pub(super) fn run_lazy<C: PropertyCheck, T>(
 }
 
 pub(super) fn resolve_threads(mode: ExecMode, items: usize) -> usize {
-    if !cfg!(feature = "parallel") || items < PARALLEL_THRESHOLD {
+    if items < PARALLEL_THRESHOLD {
         return 1;
     }
     match mode {

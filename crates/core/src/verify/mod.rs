@@ -18,8 +18,8 @@
 //!   builder carrying execution mode, strategy options ([`SweepOpts`]),
 //!   budget, telemetry recorder and shard, fired with
 //!   [`run`](SweepSession::run) / [`run_panel`](SweepSession::run_panel)
-//!   and friends — sequentially, or on worker threads when the default-on
-//!   `parallel` feature is enabled — with bit-identical verdicts,
+//!   and friends — sequentially or on worker threads
+//!   ([`ExecMode`]) — with bit-identical verdicts,
 //!   witnesses and counts in either mode, and a shared
 //!   [`crate::view::ViewSkeleton`] cache so each node's view is
 //!   canonicalized once per block instead of once per labeling
@@ -33,7 +33,7 @@
 //!   and/or item count (degrading the report to an explicit
 //!   [`Coverage::Sampled`] partial verdict), and
 //!   [`resume`](SweepSession::resume) continues from a deterministic
-//!   [`ResumeToken`] such that the chain reproduces the uninterrupted
+//!   [`PanelResumeToken`] such that the chain reproduces the uninterrupted
 //!   report bit-for-bit;
 //! * there is one walk: the panel loop ([`SweepSession::run_panel`]) runs
 //!   any number of type-erased [`DynPropertyCheck`] members over one
@@ -74,14 +74,12 @@ mod symmetry;
 pub mod telemetry;
 pub mod universe;
 
-pub use budget::{MemberFrontier, PanelResumeToken, ResumeToken, SweepBudget, SweepError};
+pub use budget::{BudgetedSweep, MemberFrontier, PanelResumeToken, SweepBudget, SweepError};
 pub use check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
 pub use erased::{DynPropertyCheck, ErasedPartial, ErasedVerdict, PanelVerdict, PropertyTag};
-pub use executor::{
-    BudgetedSweep, ExecMode, ItemCtx, SweepOpts, SweepStrategy, PARALLEL_THRESHOLD,
-};
+pub use executor::{ExecMode, ItemCtx, SweepOpts, SweepStrategy, PARALLEL_THRESHOLD};
 pub use interner::{digit_key, InternerReport, ViewId, ViewInterner};
-pub use panel::{BudgetedPanel, PanelFragment, PanelMemberReport, PanelReport};
+pub use panel::{PanelFragment, PanelMemberReport, PanelReport};
 pub use plan::{
     AuditMemberReport, AuditPanelReport, AuditPlan, AuditReport, BlockGated, FaultSpec,
     InstanceSet, PanelTelemetry, ALL_PROPERTIES,
@@ -358,7 +356,7 @@ mod tests {
         assert_eq!(out.report.checked, 0);
         let token = out.resume.expect("token");
         assert_eq!(token.next_index, 0);
-        assert!(token.partials.is_empty());
+        assert!(token.members[0].partials.is_empty());
     }
 
     /// Records exactly one partial, at a fixed index, and stops there.

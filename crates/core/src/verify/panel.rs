@@ -61,7 +61,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use super::budget::{MemberFrontier, PanelResumeToken, SweepBudget, SweepError};
+use super::budget::{BudgetedSweep, MemberFrontier, PanelResumeToken, SweepBudget, SweepError};
 use super::check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
 use super::erased::{DynPropertyCheck, ErasedPartial, PanelVerdict, PropertyTag};
 use super::executor::{
@@ -128,33 +128,14 @@ impl PanelReport {
             verdict,
             evidence: ExecEvidence {
                 checked: member.checked,
-                universe_size: self.evidence.universe_size,
                 short_circuited: member.short_circuited,
                 interrupted: member.interrupted,
                 coverage: member.coverage,
                 errors: member.errors,
-                cache_hits: self.evidence.cache_hits,
-                cache_misses: self.evidence.cache_misses,
-                memo_hits: self.evidence.memo_hits,
-                memo_misses: self.evidence.memo_misses,
-                elapsed: self.evidence.elapsed,
-                threads: self.evidence.threads,
-                interner: self.evidence.interner,
+                ..self.evidence
             },
         }
     }
-}
-
-/// A budgeted panel's result: the (possibly partial) report plus the
-/// continuation when the budget interrupted the walk.
-pub struct BudgetedPanel {
-    /// The report. When `report.evidence.interrupted` is set, member
-    /// verdicts cover only the visited prefix.
-    pub report: PanelReport,
-    /// `Some` exactly when the walk was interrupted; feed it to
-    /// [`SweepSession::resume_panel`](super::SweepSession::resume_panel)
-    /// to continue.
-    pub resume: Option<PanelResumeToken>,
 }
 
 /// The member's recorded stop index for a short-circuit at item `i`.
@@ -360,12 +341,12 @@ pub(super) fn run_panel(
     token: PanelResumeToken,
     opts: SweepOpts,
     recorder: Option<&dyn SweepRecorder>,
-) -> BudgetedPanel {
+) -> BudgetedSweep<PanelReport> {
     let start = Instant::now();
     let n = universe.len();
     let nmem = checks.len();
     if nmem == 0 {
-        return BudgetedPanel {
+        return BudgetedSweep {
             report: PanelReport {
                 members: Vec::new(),
                 evidence: ExecEvidence {
@@ -390,7 +371,7 @@ pub(super) fn run_panel(
     if let Some(r) = recorder {
         r.span_enter("panel");
     }
-    let pass = run_panel_pass(
+    let (pass, stats) = run_panel_pass(
         checks, universe, mode, budget, token, opts, recorder, n, start,
     );
     let all_stopped = pass.stop_at.iter().all(|&s| s != usize::MAX);
@@ -416,13 +397,6 @@ pub(super) fn run_panel(
     if interrupted {
         budget.note_interruption(recorder);
     }
-    let stats = PanelWalkStats {
-        threads: pass.threads,
-        cache_hits: pass.cache_hits,
-        cache_misses: pass.cache_misses,
-        memo_hits: pass.memo_hits,
-        memo_misses: pass.memo_misses,
-    };
     let report = reduce_panel(
         checks,
         universe,
@@ -438,7 +412,7 @@ pub(super) fn run_panel(
     if let Some(r) = recorder {
         r.span_exit("panel");
     }
-    BudgetedPanel { report, resume }
+    BudgetedSweep { report, resume }
 }
 
 /// One shard's slice of a fused panel: the un-reduced per-member walk
@@ -513,7 +487,7 @@ pub(super) fn run_panel_fragment(
     if token.next_index < lo {
         token.next_index = lo;
     }
-    let pass = run_panel_pass(
+    let (pass, _) = run_panel_pass(
         checks, universe, mode, budget, token, opts, recorder, hi, start,
     );
     let all_stopped = pass.stop_at.iter().all(|&s| s != usize::MAX);
@@ -541,31 +515,13 @@ pub(super) fn run_panel_fragment(
     }
 }
 
-/// The merged, retention-filtered state of one panel pass plus the walk's
-/// counters: the shared middle of [`run_panel`] and
-/// [`run_panel_fragment`].
-struct PanelPassState {
-    /// Per-member partials (token-merged, sorted, nothing past the
-    /// member's stop).
-    partials: Vec<Vec<(usize, ErasedPartial)>>,
-    /// Per-member errors, sorted by item index.
-    errors: Vec<Vec<SweepError>>,
-    /// Per-member lowest short-circuiting index (`usize::MAX` = none).
-    stop_at: Vec<usize>,
-    /// First index not visited by the walk.
-    next: usize,
-    threads: usize,
-    cache_hits: usize,
-    cache_misses: usize,
-    memo_hits: usize,
-    memo_misses: usize,
-}
-
 /// One capped panel pass: channel setup, cache build, the walk over
 /// `[token.next_index, min(next_index + max_items, limit))`, counter
-/// flushing, and the token merge + per-member retention. Emits every
-/// recorder event of a panel except the enclosing span and the reduce
-/// phase, which the callers own.
+/// flushing, and the token merge + per-member retention (partials and
+/// errors index-sorted, nothing past a member's stop) — the shared middle
+/// of [`run_panel`] and [`run_panel_fragment`], returned with the walk's
+/// counters. Emits every recorder event of a panel except the enclosing
+/// span and the reduce phase, which the callers own.
 #[allow(clippy::too_many_arguments)] // the args are the walk's state, not a config
 fn run_panel_pass(
     checks: &[DynPropertyCheck<'_>],
@@ -577,7 +533,7 @@ fn run_panel_pass(
     recorder: Option<&dyn SweepRecorder>,
     limit: usize,
     start: Instant,
-) -> PanelPassState {
+) -> (PanelPass, PanelWalkStats) {
     let nmem = checks.len();
     assert_eq!(
         token.members.len(),
@@ -756,17 +712,20 @@ fn run_panel_pass(
         }
     }
 
-    PanelPassState {
+    let merged = PanelPass {
         partials: member_partials,
         errors: member_errors,
         stop_at: pass.stop_at,
         next: pass.next,
+    };
+    let stats = PanelWalkStats {
         threads,
         cache_hits: hits.load(Ordering::Relaxed),
         cache_misses: misses.load(Ordering::Relaxed),
         memo_hits: memo_hits.load(Ordering::Relaxed),
         memo_misses: memo_misses.load(Ordering::Relaxed),
-    }
+    };
+    (merged, stats)
 }
 
 /// The walk counters [`reduce_panel`] copies into the panel evidence. A
@@ -847,13 +806,7 @@ pub(super) fn reduce_panel(
         members.push(PanelMemberReport {
             tag: check.tag(),
             label: check.label().to_string(),
-            verdict: PanelVerdict::new(
-                check.tag(),
-                check.label().to_string(),
-                passed,
-                detail,
-                value,
-            ),
+            verdict: PanelVerdict::new(passed, detail, value),
             checked,
             short_circuited: stopped,
             interrupted: member_interrupted,
@@ -961,7 +914,6 @@ fn run_panel_sequential(
     }
 }
 
-#[cfg(feature = "parallel")]
 fn run_panel_parallel(
     engine: &PanelEngine<'_>,
     threads: usize,
@@ -1077,16 +1029,4 @@ fn run_panel_parallel(
         stop_at: stops,
         next,
     }
-}
-
-#[cfg(not(feature = "parallel"))]
-fn run_panel_parallel(
-    engine: &PanelEngine<'_>,
-    _threads: usize,
-    begin: usize,
-    end: usize,
-    deadline: Option<Instant>,
-    init_stop: Vec<usize>,
-) -> PanelPass {
-    run_panel_sequential(engine, begin, end, deadline, init_stop)
 }

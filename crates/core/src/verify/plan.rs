@@ -33,26 +33,23 @@ use crate::nbhd::{NbhdGraph, NbhdScan, NbhdSweep};
 use crate::network::{degradation_sweep, DegradationReport};
 use crate::properties::completeness::completeness_member;
 use crate::properties::erasure::{erased_labeling, erasure_member};
-use crate::properties::hiding::{check_hiding, HidingCheck, HidingVerdict};
+use crate::properties::hiding::{check_hiding, hiding_line, HidingVerdict};
 use crate::properties::invariance::{anonymity_universe, invariance_member};
-use crate::properties::quantified::{ExtractabilityMap, QuantifiedCheck};
+use crate::properties::quantified::{quantified_line, ExtractabilityMap};
 use crate::properties::soundness::{SoundnessCheck, SoundnessViolation};
-use crate::properties::strong::{StrongCheck, StrongViolation};
+use crate::properties::strong::{strong_member, StrongViolation};
 use crate::prover::Prover;
-#[cfg(feature = "telemetry")]
-use crate::verify::SweepStrategy;
 use crate::verify::{
     Block, Coverage, DynPropertyCheck, ExecMode, InternerReport, ItemCtx, LabelSource,
-    MetricsRecorder, MetricsSnapshot, PanelReport, PanelResumeToken, PropertyCheck, PropertyTag,
-    SweepBudget, SweepOpts, SweepOutcome, SweepRecorder, SymmetrySpec, Universe, UniverseItem,
+    MetricsRecorder, PanelReport, PropertyCheck, PropertyTag, SweepBudget, SweepOpts, SweepOutcome,
+    SweepRecorder, SweepStrategy, SymmetrySpec, Universe, UniverseItem,
 };
 
 use super::budget::{MemberFrontier, SweepError};
 use super::erased::ErasedPartial;
-use super::panel::{run_panel, PanelFragment};
+use super::panel::PanelFragment;
 use super::session::SweepSession;
 use super::shard::{merge_panel_fragments, ShardSpec};
-#[cfg(feature = "telemetry")]
 use super::telemetry::diff;
 use crate::view::IdMode;
 use hiding_lcp_graph::Graph;
@@ -129,20 +126,28 @@ impl<C: PropertyCheck> PropertyCheck for BlockGated<C> {
 }
 
 /// Hiding and quantified extractability are two reductions of the *same*
-/// Lemma 3.1 neighborhood graph. When a plan wants both, fusing them as
-/// separate panel members would still intern every yes-instance view and
-/// replay the accepting instances twice — the scan dominates both checks,
-/// so the panel would save almost nothing. This member carries one
-/// [`NbhdSweep`] and reduces it once into the pair of analyses; the audit
-/// summary splits the pair back into the two canonical report lines.
+/// Lemma 3.1 neighborhood graph, and the scan building it dominates both.
+/// The labelings panel therefore carries one scan member whenever either
+/// is wanted: it builds `V(D, ·)` once and reduces it into the wanted
+/// analyses only. [`split_nbhd_member`] turns its verdict into one report
+/// line per wanted property, with the text the standalone
+/// [`hiding_member`](crate::properties::hiding::hiding_member) and
+/// [`quantified_member`](crate::properties::quantified::quantified_member)
+/// produce.
 struct NbhdAnalyses<'a> {
     sweep: NbhdSweep<'a, dyn Decoder + 'a>,
     k: usize,
+    hiding: bool,
+    quantified: bool,
 }
+
+/// The scan member's verdict: the neighborhood graph, plus the hiding
+/// verdict and the extractability map when wanted.
+type NbhdVerdict = (NbhdGraph, Option<HidingVerdict>, Option<ExtractabilityMap>);
 
 impl PropertyCheck for NbhdAnalyses<'_> {
     type Partial = NbhdScan;
-    type Verdict = (NbhdGraph, HidingVerdict, ExtractabilityMap);
+    type Verdict = NbhdVerdict;
 
     fn view_configs(&self) -> Vec<(usize, IdMode)> {
         self.sweep.view_configs()
@@ -182,43 +187,16 @@ impl PropertyCheck for NbhdAnalyses<'_> {
         universe: &Universe,
         partials: Vec<(usize, NbhdScan)>,
         outcome: &SweepOutcome,
-    ) -> Self::Verdict {
+    ) -> NbhdVerdict {
         let nbhd = self.sweep.reduce(universe, partials, outcome);
-        let verdict = check_hiding(&nbhd, self.k, universe.coverage().into());
-        let map = ExtractabilityMap::new(&nbhd, self.k);
+        let verdict = self
+            .hiding
+            .then(|| check_hiding(&nbhd, self.k, universe.coverage().into()));
+        let map = self
+            .quantified
+            .then(|| ExtractabilityMap::new(&nbhd, self.k));
         (nbhd, verdict, map)
     }
-}
-
-/// The two audit lines a [`NbhdAnalyses`] verdict stands for, with the
-/// same `passed`/`detail` text the standalone members produce.
-fn nbhd_analyses_lines(
-    (nbhd, verdict, map): &(NbhdGraph, HidingVerdict, ExtractabilityMap),
-) -> [(PropertyTag, &'static str, Option<bool>, String); 2] {
-    let (hiding_passed, hiding_detail) = match verdict {
-        HidingVerdict::Hiding { .. } => (Some(true), "V(D, .) is not k-colorable".to_string()),
-        HidingVerdict::NotHiding { .. } => (
-            Some(false),
-            "V(D, .) is k-colorable over an exhaustive universe".to_string(),
-        ),
-        HidingVerdict::Inconclusive => (
-            None,
-            "V(D, .) k-colorable but the universe was partial".to_string(),
-        ),
-    };
-    [
-        (PropertyTag::Hiding, "hiding", hiding_passed, hiding_detail),
-        (
-            PropertyTag::Quantified,
-            "quantified",
-            None,
-            format!(
-                "{} of {} views unextractable",
-                map.unextractable_views(),
-                nbhd.view_count()
-            ),
-        ),
-    ]
 }
 
 /// The wire shape of one labelings-panel member's partials in a shard
@@ -247,40 +225,21 @@ impl MemberKind {
             MemberKind::Scan => "scan",
         }
     }
-
-    fn parse(s: &str) -> Result<MemberKind, String> {
-        match s {
-            "sound" => Ok(MemberKind::Sound),
-            "strong" => Ok(MemberKind::Strong),
-            "scan" => Ok(MemberKind::Scan),
-            other => Err(format!("unknown shard member kind `{other}`")),
-        }
-    }
-}
-
-/// Which Lemma 3.1 member the plan's labelings panel carries.
-enum NbhdMember<'p> {
-    /// Hiding and quantified both wanted: one shared scan.
-    Both(NbhdAnalyses<'p>),
-    Hiding(HidingCheck<'p, dyn Decoder + 'p>),
-    Quantified(QuantifiedCheck<'p, dyn Decoder + 'p>),
 }
 
 /// The labelings panel's concrete checks, owned separately from the
 /// erased member list. [`LabelingsMembers::members`] borrows them (via
 /// the blanket `&C: PropertyCheck` impl), so the shard-merge path can
-/// keep the checks around after the fragments come back and reconstruct
-/// typed partials for the very instances whose `reduce` will run. The
+/// keep the scan around after the fragments come back and re-intern
+/// shipped scans into the very instance whose `reduce` will run. The
 /// ordinary [`AuditPlan::run`] path builds its panel through the same
 /// constructor, so a merged report cannot drift from a live one.
 struct LabelingsMembers<'p> {
     decoder: &'p dyn Decoder,
+    language: &'p KCol,
     soundness: Option<BlockGated<SoundnessCheck<'p, dyn Decoder + 'p>>>,
-    strong: Option<StrongCheck<'p, dyn Decoder + 'p>>,
-    nbhd: Option<NbhdMember<'p>>,
-    /// Member index of the fused hiding+quantified pair, when both were
-    /// wanted (the audit summary splits its line back in two).
-    shared_nbhd: Option<usize>,
+    strong: bool,
+    nbhd: Option<NbhdAnalyses<'p>>,
 }
 
 impl<'p> LabelingsMembers<'p> {
@@ -289,73 +248,52 @@ impl<'p> LabelingsMembers<'p> {
         universe: &Universe,
         is_yes: &[bool],
     ) -> LabelingsMembers<'p> {
-        let k = plan.language.k();
         let soundness = plan.wants(PropertyTag::Soundness).then(|| BlockGated {
             check: SoundnessCheck {
                 decoder: plan.decoder,
             },
             active: is_yes.iter().map(|yes| !yes).collect(),
         });
-        let strong = plan.wants(PropertyTag::Strong).then_some(StrongCheck {
-            decoder: plan.decoder,
-            language: &plan.language,
+        let hiding = plan.wants(PropertyTag::Hiding);
+        let quantified = plan.wants(PropertyTag::Quantified);
+        let nbhd = (hiding || quantified).then(|| NbhdAnalyses {
+            sweep: NbhdSweep::new(plan.decoder, IdMode::Anonymous, universe, |g: &Graph| {
+                plan.language.is_yes_graph(g)
+            }),
+            k: plan.language.k(),
+            hiding,
+            quantified,
         });
-        let prior = usize::from(soundness.is_some()) + usize::from(strong.is_some());
-        let mut shared_nbhd = None;
-        let is_yes_graph = |g: &Graph| plan.language.is_yes_graph(g);
-        let nbhd = if plan.wants(PropertyTag::Hiding) && plan.wants(PropertyTag::Quantified) {
-            // Both properties reduce the same neighborhood graph: run the
-            // scan once as a combined member and split its line later.
-            shared_nbhd = Some(prior);
-            Some(NbhdMember::Both(NbhdAnalyses {
-                sweep: NbhdSweep::new(plan.decoder, IdMode::Anonymous, universe, is_yes_graph),
-                k,
-            }))
-        } else if plan.wants(PropertyTag::Hiding) {
-            Some(NbhdMember::Hiding(HidingCheck::new(
-                plan.decoder,
-                universe,
-                k,
-                is_yes_graph,
-            )))
-        } else if plan.wants(PropertyTag::Quantified) {
-            Some(NbhdMember::Quantified(QuantifiedCheck::new(
-                plan.decoder,
-                universe,
-                k,
-                is_yes_graph,
-            )))
-        } else {
-            None
-        };
         LabelingsMembers {
             decoder: plan.decoder,
+            language: &plan.language,
             soundness,
-            strong,
+            strong: plan.wants(PropertyTag::Strong),
             nbhd,
-            shared_nbhd,
         }
     }
 
     /// Wire kinds, in member order.
     fn kinds(&self) -> Vec<MemberKind> {
-        let mut kinds = Vec::new();
-        if self.soundness.is_some() {
-            kinds.push(MemberKind::Sound);
-        }
-        if self.strong.is_some() {
-            kinds.push(MemberKind::Strong);
-        }
-        if self.nbhd.is_some() {
-            kinds.push(MemberKind::Scan);
-        }
-        kinds
+        [
+            (self.soundness.is_some(), MemberKind::Sound),
+            (self.strong, MemberKind::Strong),
+            (self.nbhd.is_some(), MemberKind::Scan),
+        ]
+        .into_iter()
+        .filter_map(|(wanted, kind)| wanted.then_some(kind))
+        .collect()
     }
 
-    /// The erased panel members, borrowing the owned checks. Labels,
-    /// summaries and verdict channels match the standalone member
-    /// constructors (`strong_member` & co.) exactly — the audit lines
-    /// must not depend on which path built the panel.
+    /// The erased panel members, borrowing the owned checks, all on the
+    /// decoder's one verdict channel. Strong soundness is
+    /// [`strong_member`] itself. Soundness is gated onto no-instance
+    /// blocks, so its line deliberately differs from
+    /// [`soundness_member`](crate::properties::soundness::soundness_member)'s
+    /// "no unanimous accept in {n} labelings": the gated member's count
+    /// spans the whole walk, yes-instances included, and would mislead.
+    /// The scan member's own line is a placeholder that
+    /// [`split_nbhd_member`] replaces.
     fn members(&self) -> Vec<DynPropertyCheck<'_>> {
         let mut members: Vec<DynPropertyCheck<'_>> = Vec::new();
         if let Some(check) = &self.soundness {
@@ -372,94 +310,26 @@ impl<'p> LabelingsMembers<'p> {
                 .with_channel(self.decoder),
             );
         }
-        if let Some(check) = &self.strong {
-            members.push(
-                DynPropertyCheck::with_summary(
-                    PropertyTag::Strong,
-                    "strong",
-                    check,
-                    |v: &Result<usize, StrongViolation>| match v {
-                        Ok(n) => (
-                            Some(true),
-                            format!("every accepting set in {n} labelings induces G(L)"),
-                        ),
-                        Err(_) => (
-                            Some(false),
-                            "accepting set induces a non-member of G(L)".into(),
-                        ),
-                    },
-                )
-                .with_channel(self.decoder),
-            );
+        if self.strong {
+            members.push(strong_member(self.decoder, self.language));
         }
-        match &self.nbhd {
-            Some(NbhdMember::Both(check)) => members.push(
-                DynPropertyCheck::with_summary(
-                    PropertyTag::Hiding,
-                    "hiding+quantified",
-                    check,
-                    |v: &(NbhdGraph, HidingVerdict, ExtractabilityMap)| {
-                        let [(_, _, passed, detail), _] = nbhd_analyses_lines(v);
-                        (passed, detail)
-                    },
-                )
-                .with_channel(self.decoder),
-            ),
-            Some(NbhdMember::Hiding(check)) => members.push(
-                DynPropertyCheck::with_summary(
-                    PropertyTag::Hiding,
-                    "hiding",
-                    check,
-                    |(_, v): &(NbhdGraph, HidingVerdict)| match v {
-                        HidingVerdict::Hiding { .. } => {
-                            (Some(true), "V(D, .) is not k-colorable".into())
-                        }
-                        HidingVerdict::NotHiding { .. } => (
-                            Some(false),
-                            "V(D, .) is k-colorable over an exhaustive universe".into(),
-                        ),
-                        HidingVerdict::Inconclusive => (
-                            None,
-                            "V(D, .) k-colorable but the universe was partial".into(),
-                        ),
-                    },
-                )
-                .with_channel(self.decoder),
-            ),
-            Some(NbhdMember::Quantified(check)) => members.push(
-                DynPropertyCheck::with_summary(
-                    PropertyTag::Quantified,
-                    "quantified",
-                    check,
-                    |(nbhd, map): &(NbhdGraph, ExtractabilityMap)| {
-                        (
-                            None,
-                            format!(
-                                "{} of {} views unextractable",
-                                map.unextractable_views(),
-                                nbhd.view_count()
-                            ),
-                        )
-                    },
-                )
-                .with_channel(self.decoder),
-            ),
-            None => {}
+        if let Some(check) = &self.nbhd {
+            let tag = if check.hiding {
+                PropertyTag::Hiding
+            } else {
+                PropertyTag::Quantified
+            };
+            members
+                .push(DynPropertyCheck::new(tag, "lemma31-scan", check).with_channel(self.decoder));
         }
         members
     }
 
-    /// The neighborhood sweep behind whichever scan member the plan
-    /// carries, for re-interning shipped scans.
-    fn nbhd_sweep(&self) -> Option<&NbhdSweep<'p, dyn Decoder + 'p>> {
-        match self.nbhd.as_ref()? {
-            NbhdMember::Both(a) => Some(&a.sweep),
-            NbhdMember::Hiding(h) => Some(h.sweep()),
-            NbhdMember::Quantified(q) => Some(q.sweep()),
-        }
-    }
-
-    /// Rebuilds one typed partial from its wire payload.
+    /// Rebuilds one typed partial from its wire payload. `item` is
+    /// already checked to lie in the report's range. Sound and strong
+    /// partials are violation witnesses, so a payload that cannot be one
+    /// (a yes-instance for the gated soundness, an accepting set that
+    /// induces a member of `G(L)`) is refused rather than reduced.
     fn reconstruct_partial(
         &self,
         kind: MemberKind,
@@ -467,10 +337,20 @@ impl<'p> LabelingsMembers<'p> {
         item: usize,
         payload: Option<&str>,
     ) -> Result<ErasedPartial, String> {
+        let li = universe.labeled_instance(item);
+        let n = li.graph().node_count();
         match kind {
-            MemberKind::Sound => Ok(Box::new(SoundnessViolation {
-                labeling: universe.labeled_instance(item).into_parts().1,
-            })),
+            MemberKind::Sound => {
+                let (block, _) = universe.locate(item);
+                if self.soundness.as_ref().is_some_and(|g| !g.active[block]) {
+                    return Err(format!(
+                        "soundness partial at item {item} is a yes-instance"
+                    ));
+                }
+                Ok(Box::new(SoundnessViolation {
+                    labeling: li.into_parts().1,
+                }))
+            }
             MemberKind::Strong => {
                 let payload = payload.ok_or_else(|| {
                     format!("strong partial at item {item} lacks its accepting list")
@@ -486,8 +366,21 @@ impl<'p> LabelingsMembers<'p> {
                         })
                         .collect::<Result<Vec<_>, _>>()?
                 };
+                if accepting.windows(2).any(|w| w[0] >= w[1]) || accepting.iter().any(|&v| v >= n) {
+                    return Err(format!(
+                        "strong partial at item {item} lists nodes out of order or outside its {n} nodes"
+                    ));
+                }
+                if self
+                    .language
+                    .is_yes_graph(&li.graph().induced(&accepting).0)
+                {
+                    return Err(format!(
+                        "strong partial at item {item} is no violation: its accepting set induces a member of G(L)"
+                    ));
+                }
                 Ok(Box::new(StrongViolation {
-                    labeling: universe.labeled_instance(item).into_parts().1,
+                    labeling: li.into_parts().1,
                     accepting,
                 }))
             }
@@ -503,18 +396,16 @@ impl<'p> LabelingsMembers<'p> {
                         other => Err(format!("bad acceptance bit `{other}` at item {item}")),
                     })
                     .collect::<Result<Vec<bool>, _>>()?;
-                let li = universe.labeled_instance(item);
-                if accepts.len() != li.graph().node_count() {
+                if accepts.len() != n {
                     return Err(format!(
-                        "scan at item {item} carries {} bits, instance has {} nodes",
-                        accepts.len(),
-                        li.graph().node_count()
+                        "scan at item {item} carries {} bits, instance has {n} nodes",
+                        accepts.len()
                     ));
                 }
-                let sweep = self.nbhd_sweep().ok_or_else(|| {
+                let scan = self.nbhd.as_ref().ok_or_else(|| {
                     "scan partial but the plan wants no neighborhood member".to_string()
                 })?;
-                Ok(Box::new(sweep.reconstruct_scan(&li, accepts)))
+                Ok(Box::new(scan.sweep.reconstruct_scan(&li, accepts)))
             }
         }
     }
@@ -703,9 +594,7 @@ impl<'a> AuditPlan<'a> {
 
     /// Attaches a metrics recorder: every panel streams counters, phase
     /// timings and spans into it, and the report gains a `telemetry`
-    /// section with per-panel counter deltas. In `--no-default-features`
-    /// builds the recorder is inert and nothing is attached, so the
-    /// engine keeps its recorder-free hot path.
+    /// section with per-panel counter deltas.
     pub fn telemetry(mut self, recorder: &'a MetricsRecorder) -> Self {
         self.telemetry = Some(recorder);
         self
@@ -741,70 +630,54 @@ impl<'a> AuditPlan<'a> {
         self.properties.contains(&tag)
     }
 
-    /// The attached recorder as the engine-facing trait object. Disabled
-    /// builds attach nothing: the inert recorder would record nothing
-    /// anyway, and skipping it keeps the engine's recorder-free paths.
+    /// The attached recorder as the engine-facing trait object.
     fn attached(&self) -> Option<&dyn SweepRecorder> {
-        #[cfg(feature = "telemetry")]
-        {
-            self.telemetry.map(|r| r as &dyn SweepRecorder)
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            None
+        self.telemetry.map(|r| r as &dyn SweepRecorder)
+    }
+
+    /// A session over `universe` with the plan's mode, options and
+    /// recorder: every panel of the plan runs through one.
+    fn session<'s>(&'s self, universe: &'s Universe) -> SweepSession<'s> {
+        let session = SweepSession::over(universe).mode(self.mode).opts(self.opts);
+        match self.attached() {
+            Some(r) => session.recorder(r),
+            None => session,
         }
     }
 
-    /// Snapshot taken just before a panel runs, when a recorder is live.
-    fn snapshot_before(&self) -> Option<MetricsSnapshot> {
-        #[cfg(feature = "telemetry")]
-        {
-            self.telemetry.map(|r| r.snapshot())
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            None
-        }
-    }
-
-    /// Diffs the recorder against `before` and appends the panel's
+    /// Runs `members` as one panel over `universe` and appends its report
+    /// lines (via `summarize`) and, with a recorder attached, the panel's
     /// counter movement to the report's telemetry section.
-    fn push_panel_telemetry(
+    fn run_recorded(
         &self,
         shape: &str,
-        before: Option<MetricsSnapshot>,
+        session: SweepSession<'_>,
+        members: &[DynPropertyCheck<'_>],
+        summarize: fn(&str, &PanelReport) -> AuditPanelReport,
         report: &mut AuditReport,
-    ) {
-        #[cfg(feature = "telemetry")]
+    ) -> PanelReport {
+        let before = self.telemetry.map(MetricsRecorder::snapshot);
+        let panel = session.run_panel(members);
+        report.panels.push(summarize(shape, &panel));
         if let (Some(recorder), Some(before)) = (self.telemetry, before) {
             let delta = diff::diff(&before, &recorder.snapshot());
-            report.telemetry.push(PanelTelemetry {
-                shape: shape.into(),
-                strategy: strategy_name(self.opts.strategy).into(),
-                counters: delta
-                    .changed()
-                    .map(|row| (row.name.clone(), row.delta().max(0) as u64, row.stable))
-                    .collect(),
-            });
+            let counters = delta
+                .changed()
+                .map(|row| (row.name.clone(), row.delta().max(0) as u64, row.stable));
+            report
+                .telemetry
+                .push(self.panel_telemetry(shape, counters.collect()));
         }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = (shape, before, report);
-        }
+        panel
     }
 
-    /// Runs one unbudgeted panel with the plan's recorder attached.
-    fn exec_panel(&self, members: &[DynPropertyCheck<'_>], universe: &Universe) -> PanelReport {
-        run_panel(
-            members,
-            universe,
-            self.mode,
-            &SweepBudget::unlimited(),
-            PanelResumeToken::start(members.len()),
-            self.opts,
-            self.attached(),
-        )
-        .report
+    /// One panel's telemetry section under the plan's strategy.
+    fn panel_telemetry(&self, shape: &str, counters: Vec<(String, u64, bool)>) -> PanelTelemetry {
+        PanelTelemetry {
+            shape: shape.into(),
+            strategy: strategy_name(self.opts.strategy).into(),
+            counters,
+        }
     }
 
     /// Compiles the plan into panels grouped by universe shape and
@@ -914,34 +787,15 @@ impl<'a> AuditPlan<'a> {
         if members.is_empty() {
             return;
         }
-        let before = self.snapshot_before();
-        let panel = match self.budget {
-            Some(budget) => {
-                let run = run_panel(
-                    &members,
-                    universe,
-                    self.mode,
-                    &budget,
-                    PanelResumeToken::start(members.len()),
-                    self.opts,
-                    self.attached(),
-                );
-                if run.report.evidence.interrupted {
-                    report.notes.push(
-                        "labelings panel interrupted by budget; verdicts cover the visited prefix"
-                            .into(),
-                    );
-                }
-                run.report
-            }
-            None => self.exec_panel(&members, universe),
-        };
-        let mut summary = summarize_panel("labelings", &panel);
-        if let Some(index) = checks.shared_nbhd {
-            split_nbhd_member(&mut summary, &panel, index);
+        let session = self
+            .session(universe)
+            .budget(self.budget.unwrap_or_default());
+        let panel = self.run_recorded("labelings", session, &members, summarize_labelings, report);
+        if panel.evidence.interrupted {
+            report.notes.push(
+                "labelings panel interrupted by budget; verdicts cover the visited prefix".into(),
+            );
         }
-        report.panels.push(summary);
-        self.push_panel_telemetry("labelings", before, report);
     }
 
     fn run_completeness_panel(
@@ -992,10 +846,7 @@ impl<'a> AuditPlan<'a> {
         let universe = Universe::instances_only(yes_instances, Coverage::Sampled)
             .expect("one item per instance fits");
         let member = completeness_member(self.decoder, prover);
-        let before = self.snapshot_before();
-        let panel = self.exec_panel(std::slice::from_ref(&member), &universe);
-        report.panels.push(summarize_panel("instances", &panel));
-        self.push_panel_telemetry("instances", before, report);
+        self.run_linear_panel("instances", member, &universe, report);
     }
 
     /// The first yes-instance the prover certifies — the honest fixture
@@ -1059,10 +910,7 @@ impl<'a> AuditPlan<'a> {
             Universe::labelings_of(honest.instance().clone(), labelings, Coverage::Sampled)
                 .expect("materialized labelings fit");
         let member = erasure_member(self.decoder, erased_counts);
-        let before = self.snapshot_before();
-        let panel = self.exec_panel(std::slice::from_ref(&member), &universe);
-        report.panels.push(summarize_panel("erasure", &panel));
-        self.push_panel_telemetry("erasure", before, report);
+        self.run_linear_panel("erasure", member, &universe, report);
     }
 
     fn run_invariance_panel(&self, honest: &LabeledInstance, report: &mut AuditReport) {
@@ -1077,10 +925,21 @@ impl<'a> AuditPlan<'a> {
             &mut rng,
         );
         let member = invariance_member(self.decoder, honest.instance(), honest.labeling());
-        let before = self.snapshot_before();
-        let panel = self.exec_panel(std::slice::from_ref(&member), &universe);
-        report.panels.push(summarize_panel("invariance", &panel));
-        self.push_panel_telemetry("invariance", before, report);
+        self.run_linear_panel("invariance", member, &universe, report);
+    }
+
+    /// Runs one of the linear, one-member panels (completeness, erasure,
+    /// invariance) unbudgeted.
+    fn run_linear_panel(
+        &self,
+        shape: &str,
+        member: DynPropertyCheck<'_>,
+        universe: &Universe,
+        report: &mut AuditReport,
+    ) {
+        let session = self.session(universe);
+        let members = std::slice::from_ref(&member);
+        self.run_recorded(shape, session, members, summarize_panel, report);
     }
 
     /// Runs this plan's labelings panel over one shard's index range and
@@ -1104,22 +963,14 @@ impl<'a> AuditPlan<'a> {
         let checks = LabelingsMembers::build(self, &universe, &is_yes);
         let members = checks.members();
         let kinds = checks.kinds();
-        #[cfg(feature = "telemetry")]
         let recorder = MetricsRecorder::new();
-        #[cfg(feature = "telemetry")]
         let before = recorder.snapshot();
-        #[allow(unused_mut)]
-        let mut session = SweepSession::over(&universe)
+        let session = SweepSession::over(&universe)
             .mode(self.mode)
             .opts(self.opts)
-            .shard(shard);
-        if let Some(budget) = self.budget {
-            session = session.budget(budget);
-        }
-        #[cfg(feature = "telemetry")]
-        {
-            session = session.metrics(&recorder);
-        }
+            .shard(shard)
+            .budget(self.budget.unwrap_or_default())
+            .recorder(&recorder);
         let mut fragment = session.run_panel_fragment(&members);
         while !fragment.is_complete() {
             let stalled = fragment.next;
@@ -1149,7 +1000,6 @@ impl<'a> AuditPlan<'a> {
                 out.push_str(&format!("e {} {}\n", e.item_index, wire_escape(&e.payload)));
             }
         }
-        #[cfg(feature = "telemetry")]
         for row in diff::diff(&before, &recorder.snapshot()).changed() {
             if row.stable {
                 out.push_str(&format!("counter {} {}\n", row.name, row.delta().max(0)));
@@ -1212,31 +1062,24 @@ impl<'a> AuditPlan<'a> {
         }
         let panel =
             merge_panel_fragments(&members, universe, self.mode, fragments, self.attached())?;
-        let mut summary = summarize_panel("labelings", &panel);
-        if let Some(index) = checks.shared_nbhd {
-            split_nbhd_member(&mut summary, &panel, index);
-        }
-        report.panels.push(summary);
-        #[cfg(feature = "telemetry")]
+        report.panels.push(summarize_labelings("labelings", &panel));
         if self.telemetry.is_some() {
-            report.telemetry.push(PanelTelemetry {
-                shape: "labelings".into(),
-                strategy: strategy_name(self.opts.strategy).into(),
-                counters: super::shard::sum_stable_counters(&per_shard_counters)
-                    .into_iter()
-                    .map(|(name, delta)| (name, delta, true))
-                    .collect(),
-            });
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = per_shard_counters;
+            let counters = super::shard::sum_stable_counters(&per_shard_counters)
+                .into_iter()
+                .map(|(name, delta)| (name, delta, true));
+            report
+                .telemetry
+                .push(self.panel_telemetry("labelings", counters.collect()));
         }
         Ok(())
     }
 
     /// Parses one shard report against this plan's fingerprint and
-    /// reconstructs its typed partials.
+    /// reconstructs its typed partials. The report is untrusted input:
+    /// every header line appears at most once, the range fits the
+    /// universe, every item and stop index lies inside the range (checked
+    /// before any partial is rebuilt), item indices strictly increase
+    /// within a member, and counter names do not repeat.
     fn parse_shard_report(
         &self,
         text: &str,
@@ -1252,7 +1095,8 @@ impl<'a> AuditPlan<'a> {
         if lines.next() != Some("shardreport v1") {
             return Err("shard report lacks the `shardreport v1` header".to_string());
         }
-        let mut range = None;
+        let mut headers: Vec<&str> = Vec::new();
+        let mut range: Option<(usize, usize)> = None;
         let mut next = None;
         let mut members: Vec<MemberFrontier> = Vec::new();
         let mut counters: Vec<(String, u64)> = Vec::new();
@@ -1262,6 +1106,26 @@ impl<'a> AuditPlan<'a> {
                 return Err("shard report continues past `end shardreport`".to_string());
             }
             let (tag, rest) = line.split_once(' ').unwrap_or((line, ""));
+            if SHARD_HEADERS.contains(&tag) {
+                if headers.contains(&tag) {
+                    return Err(format!("shard report repeats its `{tag}` line"));
+                }
+                headers.push(tag);
+            }
+            // The item index a `member`, `p` or `e` line names, checked
+            // against the range before anything is built from it.
+            let in_range = |what: &str, index: &str| {
+                let index = parse_usize(what, index)?;
+                let (lo, hi) = range
+                    .ok_or_else(|| format!("shard report names {what} {index} before its range"))?;
+                if (lo..hi).contains(&index) {
+                    Ok(index)
+                } else {
+                    Err(format!(
+                        "shard report {what} {index} lies outside its range [{lo}, {hi})"
+                    ))
+                }
+            };
             match tag {
                 "decoder" => {
                     let name = wire_unescape(rest);
@@ -1304,7 +1168,14 @@ impl<'a> AuditPlan<'a> {
                     let (lo, hi) = rest
                         .split_once(' ')
                         .ok_or_else(|| format!("bad range line `{line}`"))?;
-                    range = Some((parse_usize("range lo", lo)?, parse_usize("range hi", hi)?));
+                    let (lo, hi) = (parse_usize("range lo", lo)?, parse_usize("range hi", hi)?);
+                    if lo > hi || hi > universe.len() {
+                        return Err(format!(
+                            "shard report range [{lo}, {hi}) does not fit the universe of {} items",
+                            universe.len()
+                        ));
+                    }
+                    range = Some((lo, hi));
                 }
                 "next" => next = Some(parse_usize("next", rest)?),
                 "member" => {
@@ -1319,25 +1190,22 @@ impl<'a> AuditPlan<'a> {
                             members.len()
                         ));
                     }
-                    if members.len() >= kinds.len() {
+                    let Some(&want) = kinds.get(members.len()) else {
                         return Err(format!(
                             "shard report describes more members than this plan's panel ({})",
                             kinds.len()
                         ));
-                    }
-                    let kind = MemberKind::parse(kind)?;
-                    let want = kinds[members.len()];
-                    if want != kind {
+                    };
+                    if kind != want.wire() {
                         return Err(format!(
-                            "shard report member {index} is `{}`, this plan expects `{}`",
-                            kind.wire(),
+                            "shard report member {index} is `{kind}`, this plan expects `{}`",
                             want.wire()
                         ));
                     }
                     let stop_at = if stop == "-" {
                         None
                     } else {
-                        Some(parse_usize("stop index", stop)?)
+                        Some(in_range("stop index", stop)?)
                     };
                     members.push(MemberFrontier {
                         stop_at,
@@ -1346,31 +1214,38 @@ impl<'a> AuditPlan<'a> {
                     });
                 }
                 "p" => {
-                    if members.is_empty() {
-                        return Err("shard report partial before any member line".to_string());
-                    }
-                    let kind = kinds[members.len() - 1];
                     let (item, payload) = match rest.split_once(' ') {
                         Some((item, payload)) => (item, Some(payload)),
                         None => (rest, None),
                     };
-                    let item = parse_usize("item index", item)?;
-                    let partial = checks.reconstruct_partial(kind, universe, item, payload)?;
-                    members
-                        .last_mut()
-                        .expect("member line precedes partials")
+                    let item = in_range("item", item)?;
+                    let kind = kinds[..members.len()].last().copied();
+                    let (Some(frontier), Some(kind)) = (members.last_mut(), kind) else {
+                        return Err("shard report partial before any member line".to_string());
+                    };
+                    if frontier
                         .partials
-                        .push((item, partial));
+                        .last()
+                        .is_some_and(|&(last, _)| item <= last)
+                    {
+                        return Err(format!("shard report item {item} is out of order"));
+                    }
+                    let partial = checks.reconstruct_partial(kind, universe, item, payload)?;
+                    frontier.partials.push((item, partial));
                 }
                 "e" => {
-                    let Some(frontier) = members.last_mut() else {
-                        return Err("shard report error before any member line".to_string());
-                    };
                     let (item, payload) = rest
                         .split_once(' ')
                         .ok_or_else(|| format!("bad error line `{line}`"))?;
+                    let item = in_range("item", item)?;
+                    let Some(frontier) = members.last_mut() else {
+                        return Err("shard report error before any member line".to_string());
+                    };
+                    if frontier.errors.last().is_some_and(|e| item <= e.item_index) {
+                        return Err(format!("shard report error item {item} is out of order"));
+                    }
                     frontier.errors.push(SweepError {
-                        item_index: parse_usize("item index", item)?,
+                        item_index: item,
                         payload: wire_unescape(payload),
                     });
                 }
@@ -1381,18 +1256,26 @@ impl<'a> AuditPlan<'a> {
                     let value = value
                         .parse::<u64>()
                         .map_err(|_| format!("bad counter value `{value}` in shard report"))?;
+                    if counters.iter().any(|(n, _)| n == name) {
+                        return Err(format!("shard report repeats counter `{name}`"));
+                    }
                     counters.push((name.to_string(), value));
                 }
-                "end" => ended = true,
+                "end" if rest == "shardreport" => ended = true,
                 "" => {}
                 _ => return Err(format!("unknown shard report line `{line}`")),
             }
         }
-        if !ended {
+        if !ended || !text.ends_with('\n') {
             return Err("shard report is torn: no `end shardreport` trailer".to_string());
         }
         let (lo, hi) = range.ok_or_else(|| "shard report lacks a range line".to_string())?;
         let next = next.ok_or_else(|| "shard report lacks a next line".to_string())?;
+        if !(lo..=hi).contains(&next) {
+            return Err(format!(
+                "shard report's next index {next} lies outside its range [{lo}, {hi}]"
+            ));
+        }
         if members.len() != kinds.len() {
             return Err(format!(
                 "shard report describes {} members, this plan's panel has {}",
@@ -1411,6 +1294,9 @@ impl<'a> AuditPlan<'a> {
         ))
     }
 }
+
+/// The shard report's header lines, each allowed at most once.
+const SHARD_HEADERS: [&str; 7] = ["decoder", "k", "seed", "universe", "shard", "range", "next"];
 
 /// One member's line in an [`AuditPanelReport`].
 #[derive(Debug, Clone)]
@@ -1489,7 +1375,7 @@ pub struct AuditReport {
     /// Executed panels, in shape order.
     pub panels: Vec<AuditPanelReport>,
     /// Per-panel telemetry breakdowns; empty unless the plan carried
-    /// [`AuditPlan::telemetry`] and the `telemetry` feature is on.
+    /// [`AuditPlan::telemetry`].
     pub telemetry: Vec<PanelTelemetry>,
     /// The fault-degradation sweep, when a fault plan was given.
     pub degradation: Option<DegradationReport>,
@@ -1515,7 +1401,6 @@ pub const STABLE_COUNTER_ALLOWLIST: &[&str] = &[
 ];
 
 /// The wire name of a sweep strategy, as rendered in telemetry sections.
-#[cfg(feature = "telemetry")]
 fn strategy_name(strategy: SweepStrategy) -> &'static str {
     match strategy {
         SweepStrategy::DeltaStepping => "delta-stepping",
@@ -1746,30 +1631,46 @@ fn summarize_panel(shape: &str, panel: &PanelReport) -> AuditPanelReport {
     }
 }
 
-/// Replaces the combined hiding+quantified member line at `index` with
-/// the two canonical lines, so an [`AuditReport`] reads identically
-/// whether the plan shared the neighborhood scan or ran two members. An
-/// errored member (no verdict value) keeps its fused line — the error
-/// count belongs to the one scan that actually ran.
-fn split_nbhd_member(summary: &mut AuditPanelReport, panel: &PanelReport, index: usize) {
-    let Some(verdict) = panel.members[index]
-        .verdict
-        .get::<(NbhdGraph, HidingVerdict, ExtractabilityMap)>()
+/// [`summarize_panel`] for the labelings panel: the Lemma 3.1 scan
+/// member's line becomes one line per property the scan was built for.
+fn summarize_labelings(shape: &str, panel: &PanelReport) -> AuditPanelReport {
+    let mut summary = summarize_panel(shape, panel);
+    split_nbhd_member(&mut summary, panel);
+    summary
+}
+
+/// Replaces the Lemma 3.1 scan member's line with one line per wanted
+/// property (hiding, then quantified), each with the text the standalone
+/// member reports; counts, coverage and errors are the one scan's. So an
+/// [`AuditReport`] reads the same whether one scan served one property
+/// or two.
+fn split_nbhd_member(summary: &mut AuditPanelReport, panel: &PanelReport) {
+    let Some((index, (nbhd, hiding, map))) = panel
+        .members
+        .iter()
+        .enumerate()
+        .find_map(|(i, m)| Some((i, m.verdict.get::<NbhdVerdict>()?)))
     else {
         return;
     };
-    let base = summary.members[index].clone();
-    let lines =
-        nbhd_analyses_lines(verdict).map(|(tag, label, passed, detail)| AuditMemberReport {
+    let base = summary.members.remove(index);
+    let lines = hiding
+        .iter()
+        .map(|v| (PropertyTag::Hiding, hiding_line(v)))
+        .chain(
+            map.iter()
+                .map(|m| (PropertyTag::Quantified, quantified_line(nbhd, m))),
+        );
+    for (offset, (tag, (passed, detail))) in lines.enumerate() {
+        let line = AuditMemberReport {
             property: tag.as_str().into(),
-            label: label.into(),
+            label: tag.as_str().into(),
             passed,
             detail,
             ..base.clone()
-        });
-    let [hiding, quantified] = lines;
-    summary.members[index] = hiding;
-    summary.members.insert(index + 1, quantified);
+        };
+        summary.members.insert(index + offset, line);
+    }
 }
 
 /// JSON string literal with the mandatory escapes.
@@ -1883,36 +1784,42 @@ mod tests {
         );
     }
 
-    /// The shared-scan member (hiding AND quantified wanted) must report
-    /// the exact lines the standalone members produce — the fusion is a
-    /// cost optimization, never an observable one.
+    /// For every subset of {hiding, quantified}, the plan's one Lemma 3.1
+    /// scan member must report exactly the lines the standalone
+    /// `hiding_member` / `quantified_member` produce on the same universe
+    /// — sharing the scan is a cost optimization, never an observable one.
     #[test]
     fn shared_nbhd_scan_matches_standalone_members() {
-        let line = |report: &AuditReport, prop: &str| -> (Option<bool>, String) {
-            let m = report.panels[0]
-                .members
+        use crate::properties::hiding::hiding_member;
+        use crate::properties::quantified::quantified_member;
+        let plan = || AuditPlan::new(&LocalDiff, 2, family(), bits());
+        let universe = plan().labelings_universe();
+        let is_yes = |g: &Graph| KCol::new(2).is_yes_graph(g);
+        for subset in [
+            vec![PropertyTag::Hiding],
+            vec![PropertyTag::Quantified],
+            vec![PropertyTag::Hiding, PropertyTag::Quantified],
+        ] {
+            let members: Vec<DynPropertyCheck<'_>> = subset
                 .iter()
-                .find(|m| m.property == prop)
-                .unwrap_or_else(|| panic!("no `{prop}` line"));
-            (m.passed, m.detail.clone())
-        };
-        let both = AuditPlan::new(&LocalDiff, 2, family(), bits())
-            .properties([PropertyTag::Hiding, PropertyTag::Quantified])
-            .run();
-        let hiding_only = AuditPlan::new(&LocalDiff, 2, family(), bits())
-            .properties([PropertyTag::Hiding])
-            .run();
-        let quantified_only = AuditPlan::new(&LocalDiff, 2, family(), bits())
-            .properties([PropertyTag::Quantified])
-            .run();
-        assert_eq!(both.panels[0].members.len(), 2, "pair split into two lines");
-        assert_eq!(line(&both, "hiding"), line(&hiding_only, "hiding"));
-        assert_eq!(
-            line(&both, "quantified"),
-            line(&quantified_only, "quantified")
-        );
-        assert_eq!(both.panels[0].members[0].label, "hiding");
-        assert_eq!(both.panels[0].members[1].label, "quantified");
+                .map(|tag| match tag {
+                    PropertyTag::Hiding => hiding_member(&LocalDiff, &universe, 2, is_yes),
+                    _ => quantified_member(&LocalDiff, &universe, 2, is_yes),
+                })
+                .collect();
+            let standalone = SweepSession::over(&universe).run_panel(&members);
+            let audit = plan().properties(subset.clone()).run();
+            let lines = &audit.panels[0].members;
+            assert_eq!(lines.len(), subset.len(), "{subset:?}");
+            for (line, m) in lines.iter().zip(&standalone.members) {
+                assert_eq!(line.property, m.tag.as_str(), "{subset:?}");
+                assert_eq!(line.label, m.label, "{subset:?}");
+                assert_eq!(line.passed, m.verdict.passed, "{subset:?}");
+                assert_eq!(line.detail, m.verdict.detail, "{subset:?}");
+                assert_eq!(line.checked, m.checked, "{subset:?}");
+                assert_eq!(line.coverage, m.coverage, "{subset:?}");
+            }
+        }
     }
 
     #[test]
@@ -1941,7 +1848,6 @@ mod tests {
 
     /// A plan with a recorder attached reports one telemetry section per
     /// executed panel, every panel walks, and the plan span closes.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_section_breaks_down_per_panel() {
         let recorder = MetricsRecorder::new();
@@ -2025,6 +1931,94 @@ mod tests {
         plan().run_with_shards(&half).unwrap_err();
     }
 
+    /// Shard reports are untrusted input. Truncations, duplicated lines
+    /// and out-of-range or out-of-order item indices must fail the merge;
+    /// swapping two adjacent lines, or replacing a numeric token by the
+    /// universe size or `u64::MAX`, must fail it or leave it unchanged.
+    /// No case may panic: each runs under `catch_unwind`, so a failure
+    /// names its case.
+    #[test]
+    fn shard_merge_survives_adversarial_reports() {
+        let plan = || AuditPlan::new(&LocalDiff, 2, family(), bits()).seed(7);
+        let reports: Vec<String> = ShardSpec::partition(2)
+            .into_iter()
+            .map(|s| plan().run_shard(s))
+            .collect();
+        let clean = plan().run_with_shards(&reports).unwrap().to_stable_json();
+        let n = plan().labelings_universe().len();
+        // Merges with shard `s`'s report replaced by `text`: an `Ok` must
+        // reproduce the clean merge, and `fails` demands an `Err`.
+        let check = |case: String, s: usize, text: String, fails: bool| {
+            let mut tampered = reports.clone();
+            tampered[s] = text;
+            let merged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                plan().run_with_shards(&tampered)
+            }))
+            .unwrap_or_else(|_| panic!("merge panicked on {case}"));
+            if let Ok(report) = merged {
+                assert!(!fails, "merge accepted {case}");
+                assert_eq!(report.to_stable_json(), clean, "{case} changed the merge");
+            }
+        };
+        let join =
+            |lines: &[String]| -> String { lines.iter().map(|l| l.clone() + "\n").collect() };
+        let mut items_tampered = 0;
+        for (s, report) in reports.iter().enumerate() {
+            let (lo, hi) = ShardSpec::new(s, 2).range(n);
+            for cut in 0..report.len() {
+                check(
+                    format!("shard {s} cut at {cut}"),
+                    s,
+                    report[..cut].into(),
+                    true,
+                );
+            }
+            let lines: Vec<String> = report.lines().map(str::to_string).collect();
+            for i in 0..lines.len() {
+                let mut dup = lines.clone();
+                dup.insert(i, lines[i].clone());
+                check(format!("shard {s} line {i} twice"), s, join(&dup), true);
+                if i > 0 {
+                    let mut swapped = lines.clone();
+                    swapped.swap(i - 1, i);
+                    let reordered = lines[i - 1].starts_with("p ") && lines[i].starts_with("p ");
+                    check(
+                        format!("shard {s} line {i} up"),
+                        s,
+                        join(&swapped),
+                        reordered,
+                    );
+                }
+                let tokens: Vec<&str> = lines[i].split(' ').collect();
+                for (t, token) in tokens.iter().enumerate() {
+                    if token.parse::<u64>().is_err() {
+                        continue;
+                    }
+                    let item = t == 1 && tokens[0] == "p";
+                    let mut values = vec![n as u64, u64::MAX];
+                    if item {
+                        items_tampered += 1;
+                        values.push(hi as u64);
+                        values.extend(lo.checked_sub(1).map(|v| v as u64));
+                    }
+                    for value in values {
+                        let mut edited = tokens.clone();
+                        let value = value.to_string();
+                        edited[t] = &value;
+                        let mut tampered = lines.clone();
+                        tampered[i] = edited.join(" ");
+                        let case = format!("shard {s} line {i} token {t} = {value}");
+                        check(case, s, join(&tampered), item);
+                    }
+                }
+            }
+        }
+        assert!(
+            items_tampered > 0,
+            "the reports ship partials to tamper with"
+        );
+    }
+
     /// Stable JSON pins wall-clock and per-process counters, so repeated
     /// runs agree byte for byte.
     #[test]
@@ -2044,7 +2038,6 @@ mod tests {
     /// A merged report's labelings telemetry is the sum of the shards'
     /// stable counters, and agrees with a single process's section on
     /// the stable-JSON allowlist.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn sharded_telemetry_sums_match_single_process() {
         let recorder = MetricsRecorder::new();

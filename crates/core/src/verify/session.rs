@@ -9,15 +9,16 @@
 //!     .mode(ExecMode::Parallel(4))
 //!     .opts(SweepOpts::quotient())
 //!     .budget(SweepBudget::with_deadline(limit))
-//!     .metrics(&recorder)
+//!     .recorder(&recorder)
 //!     .run(&check);
 //! ```
 //!
 //! Every indexed run shape goes through the one panel walk: the typed
 //! [`run`](SweepSession::run), [`run_budgeted`](SweepSession::run_budgeted)
 //! and [`resume`](SweepSession::resume) wrap their check in a one-member
-//! [`DynPropertyCheck`] panel and downcast the member's verdict (and resume
-//! token) back to the check's own types.
+//! [`DynPropertyCheck`] panel and downcast the member's verdict back to the
+//! check's own type; the resume token stays the one-member
+//! [`PanelResumeToken`].
 //!
 //! # Sharding
 //!
@@ -46,13 +47,13 @@
 //! across shards. Both are pinned by `budget` doc-tests and the
 //! `engine_parity` interrupted-shard property.
 
-use super::budget::{MemberFrontier, PanelResumeToken, ResumeToken, SweepBudget};
+use super::budget::{BudgetedSweep, PanelResumeToken, SweepBudget};
 use super::check::{PropertyCheck, VerificationReport};
-use super::erased::{DynPropertyCheck, ErasedPartial, PropertyTag};
-use super::executor::{self, BudgetedSweep, ExecMode, SweepOpts};
-use super::panel::{self, BudgetedPanel, PanelFragment, PanelReport};
+use super::erased::{DynPropertyCheck, PropertyTag};
+use super::executor::{self, ExecMode, SweepOpts};
+use super::panel::{self, PanelFragment, PanelReport};
 use super::shard::ShardSpec;
-use super::telemetry::{MetricsRecorder, SweepRecorder};
+use super::telemetry::SweepRecorder;
 use super::universe::{Coverage, Universe};
 use crate::instance::{Instance, LabeledInstance};
 use crate::label::Labeling;
@@ -104,16 +105,11 @@ impl<'a> SweepSession<'a> {
         self
     }
 
-    /// Attaches any [`SweepRecorder`] implementation.
+    /// Attaches a [`SweepRecorder`] — usually a
+    /// [`MetricsRecorder`](super::MetricsRecorder).
     pub fn recorder(mut self, recorder: &'a dyn SweepRecorder) -> Self {
         self.recorder = Some(recorder);
         self
-    }
-
-    /// Attaches the concrete [`MetricsRecorder`]. Without the `telemetry`
-    /// feature the recorder is inert and this is a no-op in effect.
-    pub fn metrics(self, recorder: &'a MetricsRecorder) -> Self {
-        self.recorder(recorder)
     }
 
     /// Restricts the walk to `shard`'s contiguous range of the flat index
@@ -161,70 +157,44 @@ impl<'a> SweepSession<'a> {
         self.run_budgeted(check).report
     }
 
+    /// The token a fresh walk of `members` members starts from: the
+    /// session range's first index.
+    fn start_token(&self, members: usize) -> PanelResumeToken {
+        let mut token = PanelResumeToken::start(members);
+        token.next_index = self.range().0;
+        token
+    }
+
     /// Sweeps `check` and keeps the resume token when the budget (or the
     /// shard boundary) interrupts the walk.
-    pub fn run_budgeted<C>(&self, check: &C) -> BudgetedSweep<C::Verdict, C::Partial>
+    pub fn run_budgeted<C>(&self, check: &C) -> BudgetedSweep<VerificationReport<C::Verdict>>
     where
         C: PropertyCheck,
         C::Partial: Clone + 'static,
         C::Verdict: Send + 'static,
     {
-        let (lo, _) = self.range();
-        self.resume(
-            check,
-            ResumeToken {
-                next_index: lo,
-                ..ResumeToken::start()
-            },
-        )
+        self.resume(check, self.start_token(1))
     }
 
-    /// Continues an interrupted sweep from `token`. The combined chain of
-    /// runs reproduces the uninterrupted report bit-for-bit.
+    /// Continues an interrupted sweep from `token` (the one-member panel
+    /// token [`run_budgeted`](SweepSession::run_budgeted) handed back).
+    /// The combined chain of runs reproduces the uninterrupted report
+    /// bit-for-bit.
     pub fn resume<C>(
         &self,
         check: &C,
-        token: ResumeToken<C::Partial>,
-    ) -> BudgetedSweep<C::Verdict, C::Partial>
+        token: PanelResumeToken,
+    ) -> BudgetedSweep<VerificationReport<C::Verdict>>
     where
         C: PropertyCheck,
         C::Partial: Clone + 'static,
         C::Verdict: Send + 'static,
     {
         let member = DynPropertyCheck::new(PropertyTag::Custom, "", check);
-        let token = PanelResumeToken {
-            next_index: token.next_index,
-            members: vec![MemberFrontier {
-                stop_at: None,
-                partials: token
-                    .partials
-                    .into_iter()
-                    .map(|(i, p)| (i, Box::new(p) as ErasedPartial))
-                    .collect(),
-                errors: token.errors,
-            }],
-        };
         let out = self.resume_panel(std::slice::from_ref(&member), token);
-        let resume = out.resume.map(|token| {
-            let frontier = token.members.into_iter().next().expect("one member");
-            ResumeToken {
-                next_index: token.next_index,
-                partials: frontier
-                    .partials
-                    .into_iter()
-                    .map(|(i, p)| {
-                        let p = p
-                            .downcast::<C::Partial>()
-                            .expect("a one-member panel's partials are its check's");
-                        (i, *p)
-                    })
-                    .collect(),
-                errors: frontier.errors,
-            }
-        });
         BudgetedSweep {
             report: out.report.into_member_report(0),
-            resume,
+            resume: out.resume,
         }
     }
 
@@ -235,11 +205,11 @@ impl<'a> SweepSession<'a> {
 
     /// [`run_panel`](SweepSession::run_panel) keeping the panel resume
     /// token when the walk is interrupted.
-    pub fn run_panel_budgeted(&self, checks: &[DynPropertyCheck<'_>]) -> BudgetedPanel {
-        let (lo, _) = self.range();
-        let mut token = PanelResumeToken::start(checks.len());
-        token.next_index = lo;
-        self.resume_panel(checks, token)
+    pub fn run_panel_budgeted(
+        &self,
+        checks: &[DynPropertyCheck<'_>],
+    ) -> BudgetedSweep<PanelReport> {
+        self.resume_panel(checks, self.start_token(checks.len()))
     }
 
     /// Continues an interrupted panel from `token`. On a sharded session,
@@ -249,7 +219,7 @@ impl<'a> SweepSession<'a> {
         &self,
         checks: &[DynPropertyCheck<'_>],
         token: PanelResumeToken,
-    ) -> BudgetedPanel {
+    ) -> BudgetedSweep<PanelReport> {
         let (_, hi) = self.range();
         let budget = self.clamped_budget(token.next_index, hi);
         let mut out = panel::run_panel(
@@ -270,20 +240,7 @@ impl<'a> SweepSession<'a> {
     /// Walks the session's range and returns the raw [`PanelFragment`] —
     /// the panel shard-merge input — instead of reducing members.
     pub fn run_panel_fragment(&self, checks: &[DynPropertyCheck<'_>]) -> PanelFragment {
-        let (lo, hi) = self.range();
-        let mut token = PanelResumeToken::start(checks.len());
-        token.next_index = lo;
-        panel::run_panel_fragment(
-            checks,
-            self.universe,
-            self.mode,
-            &self.budget,
-            token,
-            self.opts,
-            self.recorder,
-            lo,
-            hi,
-        )
+        self.resume_panel_fragment(checks, self.start_token(checks.len()))
     }
 
     /// Continues an interrupted panel fragment walk from `token` (built

@@ -347,7 +347,7 @@ pub fn sum_stable_counters(per_shard: &[Vec<(String, u64)>]) -> Vec<(String, u64
                     if name == "quotient_blocks" {
                         *total = (*total).max(*value);
                     } else {
-                        *total += *value;
+                        *total = total.saturating_add(*value);
                     }
                 }
                 None => merged.push((name.clone(), *value)),

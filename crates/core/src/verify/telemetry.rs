@@ -4,8 +4,7 @@
 //! # Recorder contract
 //!
 //! * **Attachment is opt-in.** The recorded entry points
-//!   ([`SweepSession::recorder`](super::SweepSession::recorder) /
-//!   [`metrics`](super::SweepSession::metrics),
+//!   ([`SweepSession::recorder`](super::SweepSession::recorder),
 //!   [`AuditPlan::telemetry`](super::AuditPlan::telemetry)) thread a
 //!   recorder through the engine; every other entry point runs with no
 //!   recorder and pays nothing beyond per-item stack-local `u64`
@@ -21,17 +20,13 @@
 //!   (legitimately scheduling-dependent: memo splits, interner traffic,
 //!   timings). [`SweepCounter::is_stable`] is the single source of that
 //!   classification.
-//! * **Observationally free when disabled.** Without the `telemetry`
-//!   feature this module degrades to inert stand-in types with the same
-//!   names: call sites compile unchanged, the recorded entry points run
-//!   plain sweeps, and verdicts/reports are bit-identical either way.
+//! * **Observationally free when detached.** A sweep with no recorder
+//!   attached produces the same verdicts and reports as a recorded one;
+//!   `telemetry_parity` asserts recorded ≡ plain.
 
-#[cfg(feature = "telemetry")]
 use hiding_lcp_telemetry::{Clock, Histogram, MonotonicClock, ShardedCounters, SpanTrace};
-#[cfg(feature = "telemetry")]
 use std::sync::Arc;
 
-#[cfg(feature = "telemetry")]
 pub use hiding_lcp_telemetry::{ManualClock, MetricsSnapshot};
 
 /// Every counter the engine records, with its wire name and determinism
@@ -195,9 +190,8 @@ impl SweepPhase {
 }
 
 /// What the engine records against. Implemented by [`MetricsRecorder`];
-/// the trait exists so the executor's plumbing is independent of the
-/// `telemetry` feature (the disabled build still compiles every call
-/// site against the inert recorder).
+/// the trait keeps the executor's plumbing independent of the concrete
+/// recorder (tests and benches attach their own).
 pub trait SweepRecorder: Sync {
     /// Adds `delta` to a counter.
     fn add(&self, counter: SweepCounter, delta: u64);
@@ -217,12 +211,10 @@ pub trait SweepRecorder: Sync {
 /// Span-event ring capacity of a default recorder: plenty for an audit
 /// run's plan/panel/block/chunk spans while bounding memory; overflow
 /// overwrites the oldest events and is counted in the trace export.
-#[cfg(feature = "telemetry")]
 const DEFAULT_TRACE_CAPACITY: usize = 16_384;
 
 /// The concrete recorder: sharded counters, per-phase histograms and a
 /// bounded span ring, all behind one injected clock.
-#[cfg(feature = "telemetry")]
 pub struct MetricsRecorder {
     counters: ShardedCounters,
     phases: Vec<Histogram>,
@@ -230,14 +222,12 @@ pub struct MetricsRecorder {
     clock: Arc<dyn Clock>,
 }
 
-#[cfg(feature = "telemetry")]
 impl Default for MetricsRecorder {
     fn default() -> Self {
         MetricsRecorder::new()
     }
 }
 
-#[cfg(feature = "telemetry")]
 impl MetricsRecorder {
     /// A production recorder: monotonic clock, default trace capacity.
     pub fn new() -> MetricsRecorder {
@@ -292,18 +282,14 @@ impl MetricsRecorder {
     /// Counters plus per-phase histograms as one JSON object — what
     /// `audit --metrics-out` writes.
     pub fn metrics_json(&self) -> String {
-        let mut phases = String::new();
-        for (i, hist) in self.phases.iter().enumerate() {
-            if !phases.is_empty() {
-                phases.push_str(",\n    ");
-            }
-            let name = match i {
-                0 => SweepPhase::CacheBuild.name(),
-                1 => SweepPhase::Walk.name(),
-                _ => SweepPhase::Reduce.name(),
-            };
-            phases.push_str(&format!("\"{name}\": {}", hist.snapshot().to_json()));
-        }
+        let names =
+            [SweepPhase::CacheBuild, SweepPhase::Walk, SweepPhase::Reduce].map(SweepPhase::name);
+        let phases: Vec<String> = names
+            .iter()
+            .zip(&self.phases)
+            .map(|(name, hist)| format!("\"{name}\": {}", hist.snapshot().to_json()))
+            .collect();
+        let phases = phases.join(",\n    ");
         format!(
             "{{\n  \"counters\": {},  \"phases\": {{\n    {phases}\n  }}\n}}\n",
             self.snapshot().to_json()
@@ -311,7 +297,6 @@ impl MetricsRecorder {
     }
 }
 
-#[cfg(feature = "telemetry")]
 impl SweepRecorder for MetricsRecorder {
     fn add(&self, counter: SweepCounter, delta: u64) {
         #[cfg(conformance_mutants)]
@@ -344,140 +329,12 @@ impl SweepRecorder for MetricsRecorder {
     }
 }
 
-/// Inert stand-in when the `telemetry` feature is off: same surface,
-/// no storage, no work. Keeps every call site (and the `audit` binary)
-/// compiling in `--no-default-features` builds.
-#[cfg(not(feature = "telemetry"))]
-#[derive(Debug, Default)]
-pub struct MetricsRecorder;
-
-#[cfg(not(feature = "telemetry"))]
-impl MetricsRecorder {
-    /// The inert recorder.
-    pub fn new() -> MetricsRecorder {
-        MetricsRecorder
-    }
-
-    /// An empty snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot::default()
-    }
-
-    /// An empty (but valid) Chrome trace.
-    pub fn trace_json(&self) -> String {
-        "{\n  \"traceEvents\": [\n    \n  ],\n  \"displayTimeUnit\": \"ms\", \
-         \n  \"droppedEvents\": 0\n}\n"
-            .to_string()
-    }
-
-    /// An empty trace is trivially balanced.
-    pub fn trace_balanced(&self) -> bool {
-        true
-    }
-
-    /// Nothing recorded, nothing dropped.
-    pub fn trace_dropped(&self) -> u64 {
-        0
-    }
-
-    /// An empty metrics document.
-    pub fn metrics_json(&self) -> String {
-        format!(
-            "{{\n  \"counters\": {},  \"phases\": {{\n    \n  }}\n}}\n",
-            self.snapshot().to_json()
-        )
-    }
-}
-
-#[cfg(not(feature = "telemetry"))]
-impl SweepRecorder for MetricsRecorder {
-    fn add(&self, _counter: SweepCounter, _delta: u64) {}
-    fn record_phase(&self, _phase: SweepPhase, _micros: u64) {}
-    fn span_enter(&self, _name: &str) {}
-    fn span_exit(&self, _name: &str) {}
-    fn now_micros(&self) -> u64 {
-        0
-    }
-}
-
-/// Stand-in snapshot for disabled builds — the same ordered two-section
-/// shape so [`diff`] and report rendering compile unchanged.
-#[cfg(not(feature = "telemetry"))]
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct MetricsSnapshot {
-    /// Deterministic counters, sorted by name.
-    pub stable: Vec<(String, u64)>,
-    /// Scheduling-dependent counters, sorted by name.
-    pub observed: Vec<(String, u64)>,
-}
-
-#[cfg(not(feature = "telemetry"))]
-impl MetricsSnapshot {
-    /// Builds a snapshot, sorting both sections by counter name.
-    pub fn new(
-        mut stable: Vec<(String, u64)>,
-        mut observed: Vec<(String, u64)>,
-    ) -> MetricsSnapshot {
-        stable.sort_by(|a, b| a.0.cmp(&b.0));
-        observed.sort_by(|a, b| a.0.cmp(&b.0));
-        MetricsSnapshot { stable, observed }
-    }
-
-    /// Looks a counter up by name in either section.
-    pub fn get(&self, name: &str) -> Option<u64> {
-        self.stable
-            .iter()
-            .chain(&self.observed)
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-    }
-
-    /// All counters of both sections, stable first.
-    pub fn all(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.stable
-            .iter()
-            .chain(&self.observed)
-            .map(|(n, v)| (n.as_str(), *v))
-    }
-
-    /// The canonical byte rendering of the stable section.
-    pub fn stable_bytes(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in &self.stable {
-            out.push_str(&format!("{name}={value}\n"));
-        }
-        out
-    }
-
-    /// Both sections as one JSON object.
-    pub fn to_json(&self) -> String {
-        fn section(pairs: &[(String, u64)]) -> String {
-            let mut out = String::new();
-            for (name, value) in pairs {
-                if !out.is_empty() {
-                    out.push_str(",\n    ");
-                }
-                out.push_str(&format!("\"{}\": {value}", diff::json_escape(name)));
-            }
-            out
-        }
-        format!(
-            "{{\n  \"stable\": {{\n    {}\n  }},\n  \"observed\": {{\n    {}\n  }}\n}}\n",
-            section(&self.stable),
-            section(&self.observed),
-        )
-    }
-}
-
 /// A worker thread's stack-local counter tally.
 ///
 /// The hot loop bumps plain `u64` fields — no atomics, no branches on
 /// "is a recorder attached" — and [`WorkerTally::flush`] folds the
 /// totals into the recorder once per worker, mirroring the verdict
-/// memo's flush. Without the `telemetry` feature the struct is
-/// zero-sized and every method compiles to nothing, which is how the
-/// disabled build stays observationally free.
-#[cfg(feature = "telemetry")]
+/// memo's flush.
 #[derive(Debug, Default)]
 pub struct WorkerTally {
     walked: u64,
@@ -489,7 +346,6 @@ pub struct WorkerTally {
     readbacks: u64,
 }
 
-#[cfg(feature = "telemetry")]
 impl WorkerTally {
     /// One universe index passed over.
     #[inline]
@@ -539,29 +395,6 @@ impl WorkerTally {
         r.add(SweepCounter::VerdictRefreshes, self.refreshes);
         r.add(SweepCounter::VerdictReadbacks, self.readbacks);
     }
-}
-
-/// Zero-sized tally for disabled builds: every bump is a no-op the
-/// optimizer deletes.
-#[cfg(not(feature = "telemetry"))]
-#[derive(Debug, Default)]
-pub struct WorkerTally;
-
-#[cfg(not(feature = "telemetry"))]
-impl WorkerTally {
-    #[inline]
-    pub(super) fn walk(&mut self) {}
-    #[inline]
-    pub(super) fn inspect(&mut self, _multiplicity: u64) {}
-    #[inline]
-    pub(super) fn orbit_skip(&mut self) {}
-    #[inline]
-    pub(super) fn decisions(&mut self, _n: u64) {}
-    #[inline]
-    pub(super) fn refresh(&mut self) {}
-    #[inline]
-    pub(super) fn readback(&mut self) {}
-    pub(super) fn flush(&self, _recorder: Option<&dyn SweepRecorder>) {}
 }
 
 pub mod diff {
@@ -697,7 +530,7 @@ pub mod diff {
 
     /// Minimal JSON string escape (counter names are engine-chosen, but
     /// the module is public).
-    pub(crate) fn json_escape(s: &str) -> String {
+    fn json_escape(s: &str) -> String {
         let mut out = String::with_capacity(s.len());
         for c in s.chars() {
             match c {
@@ -711,7 +544,7 @@ pub mod diff {
     }
 }
 
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -135,7 +135,7 @@ fn recorded_sweeps_match_plain_sweeps() {
             let recorded = SweepSession::over(&universe)
                 .mode(mode)
                 .opts(opts)
-                .metrics(&recorder)
+                .recorder(&recorder)
                 .run(&check);
             assert_eq!(plain.verdict, recorded.verdict);
             assert_eq!(plain.checked, recorded.checked);
@@ -163,7 +163,7 @@ fn recorded_panels_match_plain_panels() {
         let recorded = SweepSession::over(&universe)
             .mode(mode)
             .opts(SweepOpts::default())
-            .metrics(&recorder)
+            .recorder(&recorder)
             .run_panel(&members);
         assert_eq!(plain.evidence.checked, recorded.evidence.checked);
         assert_eq!(
@@ -179,7 +179,6 @@ fn recorded_panels_match_plain_panels() {
     }
 }
 
-#[cfg(feature = "telemetry")]
 mod enabled {
     use super::*;
 
@@ -195,7 +194,7 @@ mod enabled {
             let recorder = MetricsRecorder::new();
             SweepSession::over(&universe)
                 .mode(mode)
-                .metrics(&recorder)
+                .recorder(&recorder)
                 .run(&check);
             recorder.snapshot().stable_bytes()
         };
@@ -224,7 +223,7 @@ mod enabled {
             let recorder = MetricsRecorder::new();
             SweepSession::over(&universe)
                 .mode(mode)
-                .metrics(&recorder)
+                .recorder(&recorder)
                 .run_panel(&members);
             recorder.snapshot().stable_bytes()
         };
@@ -246,7 +245,7 @@ mod enabled {
         let report = SweepSession::over(&universe)
             .mode(ExecMode::Sequential)
             .opts(SweepOpts::quotient())
-            .metrics(&recorder)
+            .recorder(&recorder)
             .run(&check);
         let snap = recorder.snapshot();
         let get = |name: &str| snap.get(name).unwrap_or_else(|| panic!("no {name}"));
@@ -281,7 +280,7 @@ mod enabled {
             let recorder = MetricsRecorder::new();
             SweepSession::over(&universe)
                 .mode(mode)
-                .metrics(&recorder)
+                .recorder(&recorder)
                 .run_panel(&members);
             let snap = recorder.snapshot();
             let get = |name: &str| snap.get(name).unwrap_or_else(|| panic!("no {name}"));
@@ -310,7 +309,7 @@ mod enabled {
             let recorder = MetricsRecorder::with_clock(Arc::new(ManualClock::default()));
             SweepSession::over(&universe)
                 .mode(ExecMode::Sequential)
-                .metrics(&recorder)
+                .recorder(&recorder)
                 .run(&check);
             (recorder.metrics_json(), recorder.trace_json())
         };
@@ -331,7 +330,7 @@ mod enabled {
         let recorder = MetricsRecorder::new();
         SweepSession::over(&universe)
             .mode(ExecMode::Parallel(parity_threads()))
-            .metrics(&recorder)
+            .recorder(&recorder)
             .run_panel(&members);
         assert!(recorder.trace_balanced(), "all spans closed");
         assert_eq!(recorder.trace_dropped(), 0);

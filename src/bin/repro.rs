@@ -4,7 +4,10 @@
 //! ```text
 //! cargo run --release --bin repro            # all experiments
 //! cargo run --release --bin repro -- E2 E9   # a selection
+//! cargo run --release --bin repro -- --dot figures   # Graphviz figures only
 //! ```
+//!
+//! Any other argument prints usage and exits 2.
 
 use hiding_lcp::certs::edge3::{Edge3Decoder, Edge3Prover};
 use hiding_lcp::certs::{degree_one, even_cycle, revealing, shatter, union, watermelon};
@@ -940,21 +943,19 @@ fn e20() {
     println!("   hide every rejecting view at once - rare, and vanishing as rates climb.");
 }
 
+fn usage(bad: &str) -> ! {
+    eprintln!(
+        "repro: unknown argument {bad:?}\n\
+         usage: repro [E1 .. E20]... [--dot [DIR]]\n\
+         \n\
+         Runs the selected experiments (all when none is named) and prints the\n\
+         paper's claim next to the measured outcome. --dot writes the Graphviz\n\
+         figures to DIR (default: figures)."
+    );
+    std::process::exit(2)
+}
+
 fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(pos) = raw.iter().position(|a| a == "--dot") {
-        let dir = raw
-            .get(pos + 1)
-            .cloned()
-            .unwrap_or_else(|| "figures".to_string());
-        write_figures(&dir);
-        raw.drain(pos..(pos + 2).min(raw.len()));
-        if raw.is_empty() {
-            return;
-        }
-    }
-    let args: Vec<String> = raw.iter().map(|a| a.to_uppercase()).collect();
-    let want = |id: &str| args.is_empty() || args.iter().any(|a| a == id);
     let all: Vec<(&str, fn())> = vec![
         ("E1", e1),
         ("E2", e2),
@@ -977,6 +978,30 @@ fn main() {
         ("E19", e19),
         ("E20", e20),
     ];
+    let mut raw: Vec<String> = std::env::args().skip(1).collect();
+    let dot = raw.iter().position(|a| a == "--dot").map(|pos| {
+        let dir = raw
+            .get(pos + 1)
+            .cloned()
+            .unwrap_or_else(|| "figures".to_string());
+        raw.drain(pos..(pos + 2).min(raw.len()));
+        dir
+    });
+    let args: Vec<String> = raw.iter().map(|a| a.to_uppercase()).collect();
+    if let Some(bad) = raw
+        .iter()
+        .zip(&args)
+        .find(|(_, id)| !all.iter().any(|(known, _)| known == id))
+    {
+        usage(bad.0);
+    }
+    if let Some(dir) = dot {
+        write_figures(&dir);
+        if args.is_empty() {
+            return;
+        }
+    }
+    let want = |id: &str| args.is_empty() || args.iter().any(|a| a == id);
     let start = Instant::now();
     for (id, f) in all {
         if want(id) {

@@ -61,7 +61,6 @@ blessed_surface![
     hiding_lcp::core::verify::MemberFrontier,
     hiding_lcp::core::verify::PanelFragment,
     hiding_lcp::core::verify::PanelResumeToken,
-    hiding_lcp::core::verify::ResumeToken,
     hiding_lcp::core::verify::ShardRunReport,
     hiding_lcp::core::verify::merge_panel_fragments,
     hiding_lcp::core::verify::run_shards,
