@@ -1,29 +1,31 @@
-//! Resilience primitives for the sweep executor: structured per-item
-//! errors, execution budgets, and resume tokens.
+//! Resilience primitives for the sweep engine: structured per-item
+//! errors, execution budgets, and the walk state that continues an
+//! interrupted walk.
 //!
-//! These three types turn the executor from "all or nothing" into a
-//! machine that degrades explicitly:
+//! These types turn the engine from "all or nothing" into a machine that
+//! degrades explicitly:
 //!
 //! * [`SweepError`] — a [`super::PropertyCheck::inspect`] call (or the
-//!   item decode feeding it) panicked. The executor catches the unwind,
+//!   item decode feeding it) panicked. The engine catches the unwind,
 //!   records the offending flat index and panic payload, and keeps
 //!   sweeping; the report's coverage downgrades to
 //!   [`super::Coverage::Sampled`] because the erroring items were not
 //!   actually verified.
 //! * [`SweepBudget`] — a wall-clock deadline and/or an item cap for one
-//!   executor call. A budget that expires mid-sweep ends it with an
+//!   engine call. A budget that expires mid-sweep ends it with an
 //!   `interrupted` report (again [`super::Coverage::Sampled`] — an
 //!   interrupted `Exhaustive` sweep proves nothing universal) instead of
 //!   running unbounded.
-//! * [`PanelResumeToken`] — everything needed to continue an interrupted
-//!   sweep: the next unvisited index plus each member's partials, errors
-//!   and stop index. Because inspection is pure and the visited set is
-//!   always the contiguous prefix `[0, next_index)`, feeding the token
-//!   back into [`super::SweepSession::resume`] (or
+//! * [`PanelFragment`] — the one walk state: a range `[lo, hi)`, the next
+//!   unvisited index, and each member's partials, errors and stop index.
+//!   It is both a shard's merge input and an interrupted run's
+//!   continuation. Because inspection is pure and the visited set is
+//!   always the contiguous prefix `[lo, next)`, feeding the fragment back
+//!   into [`super::SweepSession::resume`] (or
 //!   [`resume_panel`](super::SweepSession::resume_panel)) and letting it
 //!   finish yields the *same verdict, partials and checked count* as one
 //!   uninterrupted sweep — bit-identical resume, asserted by the engine
-//!   parity suite. A typed sweep's token is a one-member panel token.
+//!   parity suite. A typed sweep's continuation is a one-member fragment.
 
 use std::any::Any;
 use std::time::Duration;
@@ -87,9 +89,10 @@ impl SweepError {
 ///   chain merges into the exact uninterrupted report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepBudget {
-    /// Wall-clock limit for this call. Checked between items (sequential)
-    /// or between chunk claims (parallel), so the visited set stays a
-    /// contiguous prefix; a slow single inspection can overshoot.
+    /// Wall-clock limit for this call. Checked at chunk claims in every
+    /// mode, and a claimed chunk runs to completion, so the visited set
+    /// stays a contiguous prefix; a chunk of slow inspections can
+    /// overshoot.
     pub deadline: Option<Duration>,
     /// Maximum number of items to visit in this call. Exact in every
     /// execution mode.
@@ -137,62 +140,84 @@ pub struct BudgetedSweep<R> {
     /// The report. When it is flagged `interrupted`, verdicts cover only
     /// the visited prefix and coverage is [`super::Coverage::Sampled`].
     pub report: R,
-    /// `Some` exactly when the walk was interrupted; feed it to
+    /// `Some` exactly when the budget stopped the walk inside its range:
+    /// the [`PanelFragment`] walked so far. Feed it to
     /// [`super::SweepSession::resume`] (typed) or
     /// [`super::SweepSession::resume_panel`] to continue.
-    pub resume: Option<PanelResumeToken>,
+    pub resume: Option<PanelFragment>,
 }
 
-/// The continuation of an interrupted sweep or fused panel
-/// ([`super::SweepSession::run_budgeted`],
-/// [`super::SweepSession::run_panel_budgeted`]).
+/// The un-reduced state of a panel walk over the contiguous index range
+/// `[lo, hi)`: the one walk-state type. A fresh walk starts from an empty
+/// fragment; a budget-interrupted run hands back the fragment walked so
+/// far as its continuation
+/// ([`SweepSession::resume_panel_fragment`](super::SweepSession::resume_panel_fragment),
+/// [`SweepSession::resume_panel`](super::SweepSession::resume_panel)); a
+/// shard ships its complete fragment to
+/// [`merge_panel_fragments`](super::merge_panel_fragments).
 ///
-/// One shared `next_index` describes the enumeration frontier — the
-/// visited set is always the contiguous prefix `[0, next_index)` — while
-/// each member keeps its own
-/// [`MemberFrontier`]: its recorded partials and errors, plus its
-/// short-circuit index if it already dropped out of the walk. Feeding the
-/// token to [`super::SweepSession::resume_panel`] continues every still-active member
-/// from the shared frontier; members that stopped are carried through
-/// untouched, so the resumed chain reproduces an uninterrupted panel's
-/// per-member reports exactly.
+/// The visited set is always the contiguous prefix `[lo, next)` and each
+/// member's partials and errors are index-sorted with nothing past its
+/// stop, so continuing a fragment reproduces the uninterrupted walk
+/// bit-for-bit. A walk never leaves `[lo, hi)`.
 #[derive(Debug)]
-pub struct PanelResumeToken {
-    /// First flat index not yet visited by the panel walk.
-    pub next_index: usize,
-    /// Per-member state, in panel member order.
+pub struct PanelFragment {
+    /// Range start (inclusive flat index).
+    pub lo: usize,
+    /// Range end (exclusive flat index).
+    pub hi: usize,
+    /// First index in `[lo, hi)` not visited; `hi` when the walk covered
+    /// the whole range (or every member stopped inside it).
+    pub next: usize,
+    /// Per-member frontiers, in member order: each member's local stop
+    /// index, partials and errors.
     pub members: Vec<MemberFrontier>,
 }
 
-impl PanelResumeToken {
-    /// The token a fresh (never-started) panel of `members` members
-    /// resumes from.
-    pub fn start(members: usize) -> PanelResumeToken {
-        PanelResumeToken {
-            next_index: 0,
-            members: (0..members)
-                .map(|_| MemberFrontier {
-                    stop_at: None,
-                    partials: Vec::new(),
-                    errors: Vec::new(),
-                })
-                .collect(),
+impl PanelFragment {
+    /// A never-walked fragment of `members` members over `[lo, hi)`.
+    pub(super) fn fresh(lo: usize, hi: usize, members: usize) -> PanelFragment {
+        PanelFragment {
+            lo,
+            hi,
+            next: lo,
+            members: (0..members).map(|_| MemberFrontier::default()).collect(),
         }
+    }
+
+    /// Whether the fragment's range is fully decided: the walk reached
+    /// `hi`, or every member short-circuited inside the range.
+    pub fn is_complete(&self) -> bool {
+        self.next >= self.hi || self.members.iter().all(|m| m.stop_at.is_some())
     }
 }
 
-/// One panel member's interim state inside a [`PanelResumeToken`].
-#[derive(Debug)]
+/// One panel member's slice of a [`PanelFragment`].
+#[derive(Debug, Default)]
 pub struct MemberFrontier {
     /// The member's short-circuit index: `Some(s)` when its lowest
     /// deciding item was `s` (the member inspects nothing past it on
     /// resume and reports `checked = s + 1`), `None` while still active.
     pub stop_at: Option<usize>,
-    /// Partials the member recorded in `[0, next_index)`, sorted by
-    /// index, type-erased (clones of the member's concrete partials).
+    /// Partials the member recorded in `[lo, next)`, sorted by index,
+    /// type-erased (clones of the member's concrete partials).
     pub partials: Vec<(usize, super::erased::ErasedPartial)>,
-    /// Errors the member recorded in `[0, next_index)`, sorted by index.
+    /// Errors the member recorded in `[lo, next)`, sorted by index.
     pub errors: Vec<SweepError>,
+}
+
+impl MemberFrontier {
+    /// Restores the sequential invariants after records were appended out
+    /// of order (worker threads, shard fragments): partials and errors in
+    /// index order, nothing past the member's stop.
+    pub(super) fn fold(&mut self) {
+        self.partials.sort_by_key(|&(i, _)| i);
+        self.errors.sort_by_key(|e| e.item_index);
+        if let Some(s) = self.stop_at {
+            self.partials.retain(|&(i, _)| i <= s);
+            self.errors.retain(|e| e.item_index <= s);
+        }
+    }
 }
 
 #[cfg(test)]

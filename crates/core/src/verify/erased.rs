@@ -83,8 +83,8 @@ impl PropertyTag {
 }
 
 /// Object-safe mirror of [`PropertyCheck`] with boxed payloads, plus the
-/// two operations panels need beyond it: cloning a partial (for resume
-/// tokens) and summarizing a verdict (for reports).
+/// two operations panels need beyond it: cloning a partial (for an
+/// interrupted run's continuation) and summarizing a verdict (for reports).
 trait ErasedCheck: Sync {
     fn view_configs(&self) -> Vec<(usize, IdMode)>;
     fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<ErasedPartial>;

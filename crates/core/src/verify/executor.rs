@@ -1,7 +1,8 @@
 //! The walk primitives every sweep shares: the view-skeleton cache, the
 //! odometer [`Walker`], delta-evaluated verdict channels, and the lazy
-//! draw loop for iterator sources. The indexed walk loops themselves —
-//! sequential and parallel — live in [`super::panel`]; a typed
+//! draw loop for iterator sources. The indexed walk loop itself — one
+//! chunk-claiming loop for every thread count — lives in
+//! [`super::panel`]; a typed
 //! [`SweepSession::run`](super::SweepSession::run) is a one-member panel.
 //!
 //! # Hot path: odometer stepping and delta evaluation
@@ -27,7 +28,7 @@
 //!
 //! The index-decoded path survives as [`SweepStrategy::DecodeOracle`]; the
 //! `engine_parity` suite proves the strategies observationally identical.
-//! All of this is invisible to reports and resume tokens — determinism is
+//! All of this is invisible to reports and fragments — determinism is
 //! unchanged because the stepped labeling at index `i` equals the decoded
 //! labeling at index `i` exactly.
 //!
@@ -56,25 +57,28 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// How to drive the sweep.
+/// How to drive the sweep: how many workers the one chunk-claiming walk
+/// runs. Worker 0 is the calling thread, so one worker spawns nothing. The
+/// budget deadline is checked at chunk claims in every mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Parallel when the machine has more than one core and the universe
-    /// is large enough to amortize thread startup; sequential otherwise.
+    /// As many workers as the machine has cores when the universe is
+    /// large enough to amortize thread startup; one worker otherwise.
     Auto,
-    /// Always single-threaded, in index order.
+    /// One worker, the calling thread, claiming chunks in index order.
     Sequential,
-    /// Exactly this many worker threads (values ≤ 1 run sequentially).
-    /// Below [the small-universe threshold](PARALLEL_THRESHOLD) this also
-    /// runs sequentially: thread startup dominates such sweeps, and the
-    /// determinism contract makes the fallback observationally invisible.
+    /// Exactly this many workers (values ≤ 1 mean one). Below [the
+    /// small-universe threshold](PARALLEL_THRESHOLD) this also runs one
+    /// worker: thread startup dominates such sweeps, and the determinism
+    /// contract makes the fallback observationally invisible.
     Parallel(usize),
 }
 
-/// Below this many items, every mode runs sequentially. Thread startup
-/// costs more than the sweep itself at this size (`BENCH_engine.json`
-/// records the crossover), and since parallel and sequential execution are
-/// observationally identical, only wall-clock changes.
+/// Below this many items, every mode runs one worker (the calling
+/// thread) in the same chunk loop, with the deadline still checked at
+/// chunk claims. Thread startup costs more than the sweep itself at this
+/// size (`BENCH_engine.json` records the crossover), and since every
+/// worker count is observationally identical, only wall-clock changes.
 pub const PARALLEL_THRESHOLD: usize = 64;
 
 /// How the executor enumerates items within a chunk.

@@ -32,13 +32,13 @@
 //!   sweep, a [`SweepBudget`] bounds a call by wall-clock deadline
 //!   and/or item count (degrading the report to an explicit
 //!   [`Coverage::Sampled`] partial verdict), and
-//!   [`resume`](SweepSession::resume) continues from a deterministic
-//!   [`PanelResumeToken`] such that the chain reproduces the uninterrupted
-//!   report bit-for-bit;
-//! * there is one walk: the panel loop ([`SweepSession::run_panel`]) runs
-//!   any number of type-erased [`DynPropertyCheck`] members over one
-//!   enumeration, and a typed [`SweepSession::run`] is a one-member panel
-//!   whose verdict is downcast back to the check's own type;
+//!   [`resume`](SweepSession::resume) continues the [`PanelFragment`] an
+//!   interrupted run walked so far, such that the chain reproduces the
+//!   uninterrupted report bit-for-bit;
+//! * there is one walk, a chunk-claiming loop on any number of workers
+//!   ([`SweepSession::run_panel`]), running type-erased
+//!   [`DynPropertyCheck`] members; a typed [`SweepSession::run`] is a
+//!   one-member panel whose verdict is downcast back to its own type;
 //! * work shards across processes ([`shard`]): a [`ShardSpec`] restricts a
 //!   session to one of `N` contiguous ranges of the index space,
 //!   [`PanelFragment`]s ([`SweepSession::run_panel_fragment`]) carry the
@@ -74,12 +74,12 @@ mod symmetry;
 pub mod telemetry;
 pub mod universe;
 
-pub use budget::{BudgetedSweep, MemberFrontier, PanelResumeToken, SweepBudget, SweepError};
+pub use budget::{BudgetedSweep, MemberFrontier, PanelFragment, SweepBudget, SweepError};
 pub use check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
 pub use erased::{DynPropertyCheck, ErasedPartial, ErasedVerdict, PanelVerdict, PropertyTag};
 pub use executor::{ExecMode, ItemCtx, SweepOpts, SweepStrategy, PARALLEL_THRESHOLD};
 pub use interner::{digit_key, InternerReport, ViewId, ViewInterner};
-pub use panel::{PanelFragment, PanelMemberReport, PanelReport};
+pub use panel::{PanelMemberReport, PanelReport};
 pub use plan::{
     AuditMemberReport, AuditPanelReport, AuditPlan, AuditReport, BlockGated, FaultSpec,
     InstanceSet, PanelTelemetry, ALL_PROPERTIES,
@@ -253,11 +253,13 @@ mod tests {
         assert!(first.report.interrupted);
         assert_eq!(first.report.checked, 10);
         assert_eq!(first.report.coverage, Coverage::Sampled);
-        let token = first.resume.expect("interrupted sweep yields a token");
-        assert_eq!(token.next_index, 10);
+        let continuation = first
+            .resume
+            .expect("interrupted sweep yields a continuation");
+        assert_eq!(continuation.next, 10);
         // Finish with no budget: the chained result matches one
         // uninterrupted sweep exactly.
-        let rest = session.resume(&check, token);
+        let rest = session.resume(&check, continuation);
         assert!(rest.resume.is_none());
         assert!(!rest.report.interrupted);
         assert_eq!(rest.report.coverage, Coverage::Exhaustive);
@@ -354,8 +356,8 @@ mod tests {
             .run_budgeted(&check);
         assert!(out.report.interrupted);
         assert_eq!(out.report.checked, 0);
-        let token = out.resume.expect("token");
-        assert_eq!(token.next_index, 0);
+        let token = out.resume.expect("continuation");
+        assert_eq!(token.next, 0);
         assert!(token.members[0].partials.is_empty());
     }
 
@@ -474,7 +476,7 @@ mod tests {
         let stepped = session.budget(SweepBudget::unlimited().with_max_items(3));
         let mut frag = stepped.run_panel_fragment(&members);
         while !frag.is_complete() {
-            frag = stepped.resume_panel_fragment(&members, frag.into_resume_token());
+            frag = stepped.resume_panel_fragment(&members, frag);
         }
         assert_eq!(frag.lo, whole.lo);
         assert_eq!(frag.hi, whole.hi);
@@ -536,12 +538,15 @@ mod tests {
         assert_eq!(report.universe_size, 32);
         assert!(report.interrupted);
         assert_eq!(report.coverage, Coverage::Sampled);
-        // And a budgeted run's resume chain ends at the shard boundary.
+        // And a budgeted run's continuation ends at the shard boundary.
         let out = SweepSession::over(&universe)
             .mode(ExecMode::Sequential)
             .shard(ShardSpec::new(0, 2))
             .budget(SweepBudget::unlimited().with_max_items(16))
             .run_budgeted(&check);
-        assert!(out.resume.is_none(), "spent shard token must be dropped");
+        assert!(
+            out.resume.is_none(),
+            "a walk that reached the shard's hi is complete"
+        );
     }
 }

@@ -29,39 +29,42 @@
 //! stopped at its lowest deciding index `s` reports `checked = s + 1`,
 //! exactly what its own single-check sweep would.
 //!
-//! # One walk
+//! # One walk, one walk state
 //!
-//! This module holds the repository's only indexed walk loops, sequential
-//! and parallel. A typed [`SweepSession::run`](super::SweepSession::run)
+//! This module holds the repository's only indexed walk loop: `threads`
+//! workers claim chunks from a shared cursor, worker 0 being the calling
+//! thread, so [`ExecMode::Sequential`], `Parallel(1)` and universes below
+//! [`PARALLEL_THRESHOLD`](super::PARALLEL_THRESHOLD) are one worker in the
+//! same loop. A typed [`SweepSession::run`](super::SweepSession::run)
 //! (and `run_budgeted`, `resume`) wraps its check in a one-member panel
 //! and downcasts the member's verdict, so every indexed sweep — a single
 //! property, a full audit, a shard — rides the same loop.
 //!
 //! Every item inspection runs under `catch_unwind`, so a panicking
 //! decoder becomes a [`SweepError`] naming the item, not a poisoned walk.
-//! Budgets are checked between items (sequential) or chunk claims
-//! (parallel), and a claimed chunk always runs to completion, so the
-//! visited set is always the contiguous prefix `[0, next)`; an
-//! interrupted panel hands back a [`PanelResumeToken`] carrying the
-//! shared frontier plus every member's partials and stop index, and the
-//! resumed chain reproduces the uninterrupted panel bit-for-bit (the
-//! panel differential suite asserts this).
+//! Budgets are checked at chunk claims in every mode, and a claimed chunk
+//! always runs to completion, so the visited set is always the contiguous
+//! prefix `[lo, next)` of a [`PanelFragment`] — the one walk state. A walk
+//! continues a fragment and folds it; [`run_panel`] then reduces it, and
+//! an interrupted run hands the fragment back as its continuation, which
+//! the resumed chain finishes bit-for-bit (the panel differential suite
+//! asserts this). The shard merge folds and reduces fragments the same
+//! way.
 //!
 //! # Determinism
 //!
 //! The single-sweep contract lifts member-wise: for any member list,
 //! universe and options, every [`ExecMode`] produces identical member
-//! verdicts, `checked` counts and witnesses. The parallel path reuses the
-//! same machinery — atomic chunk cursor, per-member `fetch_min` stop
-//! folding, post-join filtering — with the stop horizon being the
-//! *maximum* over member stops (an item is only skippable when every
-//! member is past it).
+//! verdicts, `checked` counts and witnesses: every thread count runs the
+//! same loop — atomic chunk cursor, per-member `fetch_min` stop folding,
+//! post-join folding — with the stop horizon being the *maximum* over
+//! member stops (an item is only skippable when every member is past it).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use super::budget::{BudgetedSweep, MemberFrontier, PanelResumeToken, SweepBudget, SweepError};
+use super::budget::{BudgetedSweep, MemberFrontier, PanelFragment, SweepBudget, SweepError};
 use super::check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
 use super::erased::{DynPropertyCheck, ErasedPartial, PanelVerdict, PropertyTag};
 use super::executor::{
@@ -116,8 +119,12 @@ pub struct PanelReport {
 impl PanelReport {
     /// Converts member `index` into the [`VerificationReport`] its own
     /// single-check sweep would have produced: member-level counts and
-    /// coverage, panel-level cache/memo/clock/thread evidence. Panics if
-    /// `V` is not the member's verdict type.
+    /// coverage, panel-level cache/memo/clock/thread evidence.
+    ///
+    /// # Panics
+    ///
+    /// When `index` is out of range or `V` is not the member's verdict
+    /// type.
     pub fn into_member_report<V: Any>(mut self, index: usize) -> VerificationReport<V> {
         let member = self.members.remove(index);
         let verdict = member
@@ -277,6 +284,8 @@ impl PanelEngine<'_> {
             let check = &self.checks[m];
             let r = catch_unwind(AssertUnwindSafe(|| {
                 if self.uses_verdicts[m][block] {
+                    // invariant: `uses_verdicts[m]` is only set for members
+                    // that were given a channel at setup.
                     let c = self.member_channel[m].expect("uses_verdicts implies a channel");
                     let (scratch, memo) = &mut channels[c];
                     refresh_verdicts(
@@ -315,95 +324,54 @@ impl PanelEngine<'_> {
     }
 }
 
-/// What one panel pass over `[begin, end)` produced.
-struct PanelPass {
-    /// Per-member partials recorded by this pass.
-    partials: Vec<Vec<(usize, ErasedPartial)>>,
-    /// Per-member errors recorded by this pass.
-    errors: Vec<Vec<SweepError>>,
-    /// Per-member lowest short-circuiting index (`usize::MAX` = none),
-    /// token-inherited stops included.
-    stop_at: Vec<usize>,
-    /// First index not visited by the walk.
-    next: usize,
-}
-
-/// The shared engine behind every whole-universe entry point of
-/// [`SweepSession`](super::SweepSession), typed or panel. `recorder`
-/// attaches telemetry (the audit plan passes one through here to keep
-/// budgets and recording composable); phase timings use the recorder's
-/// clock.
+/// Runs one panel call: walks `fragment` onward under `budget`, then
+/// reduces every member. The shared engine behind every whole-universe
+/// entry point of [`SweepSession`](super::SweepSession), typed or panel.
+/// `recorder` attaches telemetry (the audit plan passes one through here
+/// to keep budgets and recording composable); phase timings use the
+/// recorder's clock.
 pub(super) fn run_panel(
     checks: &[DynPropertyCheck<'_>],
     universe: &Universe,
     mode: ExecMode,
     budget: &SweepBudget,
-    token: PanelResumeToken,
+    fragment: PanelFragment,
     opts: SweepOpts,
     recorder: Option<&dyn SweepRecorder>,
 ) -> BudgetedSweep<PanelReport> {
     let start = Instant::now();
-    let n = universe.len();
-    let nmem = checks.len();
-    if nmem == 0 {
-        return BudgetedSweep {
-            report: PanelReport {
-                members: Vec::new(),
-                evidence: ExecEvidence {
-                    checked: 0,
-                    universe_size: n,
-                    short_circuited: false,
-                    interrupted: false,
-                    coverage: universe.coverage(),
-                    errors: Vec::new(),
-                    cache_hits: 0,
-                    cache_misses: 0,
-                    memo_hits: 0,
-                    memo_misses: 0,
-                    elapsed: start.elapsed(),
-                    threads: 1,
-                    interner: None,
-                },
-            },
-            resume: None,
-        };
-    }
     if let Some(r) = recorder {
         r.span_enter("panel");
     }
-    let (pass, stats) = run_panel_pass(
-        checks, universe, mode, budget, token, opts, recorder, n, start,
-    );
-    let all_stopped = pass.stop_at.iter().all(|&s| s != usize::MAX);
-    let next = pass.next;
-    let interrupted = !all_stopped && next < n;
-    let resume = if interrupted {
-        Some(PanelResumeToken {
-            next_index: next,
-            members: (0..nmem)
-                .map(|m| MemberFrontier {
-                    stop_at: (pass.stop_at[m] != usize::MAX).then_some(pass.stop_at[m]),
-                    partials: pass.partials[m]
-                        .iter()
-                        .map(|(i, p)| (*i, checks[m].clone_partial(p)))
-                        .collect(),
-                    errors: pass.errors[m].clone(),
-                })
-                .collect(),
-        })
-    } else {
-        None
-    };
-    if interrupted {
-        budget.note_interruption(recorder);
-    }
+    let (fragment, stats) = walk(checks, universe, mode, budget, fragment, opts, recorder);
+    let resume = (!fragment.is_complete()).then(|| PanelFragment {
+        lo: fragment.lo,
+        hi: fragment.hi,
+        next: fragment.next,
+        members: fragment
+            .members
+            .iter()
+            .zip(checks)
+            .map(|(f, check)| MemberFrontier {
+                stop_at: f.stop_at,
+                partials: f
+                    .partials
+                    .iter()
+                    .map(|(i, p)| (*i, check.clone_partial(p)))
+                    .collect(),
+                errors: f.errors.clone(),
+            })
+            .collect(),
+    });
+    // A walk that ends before the universe does — a budget stop, or a
+    // shard range short of `n` — covers a sample of the universe.
+    let all_stopped = fragment.members.iter().all(|f| f.stop_at.is_some());
+    let interrupted = !all_stopped && fragment.next < universe.len();
     let report = reduce_panel(
         checks,
         universe,
-        pass.partials,
-        pass.errors,
-        &pass.stop_at,
-        next,
+        fragment.members,
+        fragment.next,
         interrupted,
         stats,
         recorder,
@@ -415,132 +383,68 @@ pub(super) fn run_panel(
     BudgetedSweep { report, resume }
 }
 
-/// One shard's slice of a fused panel: the un-reduced per-member walk
-/// state over the contiguous index range `[lo, hi)`. Produced by
-/// [`SweepSession::run_panel_fragment`](super::SweepSession::run_panel_fragment),
-/// consumed by
-/// [`merge_panel_fragments`](super::shard::merge_panel_fragments).
-#[derive(Debug)]
-pub struct PanelFragment {
-    /// Range start (inclusive flat index).
-    pub lo: usize,
-    /// Range end (exclusive flat index).
-    pub hi: usize,
-    /// First index in `[lo, hi)` not visited; `hi` when the walk covered
-    /// the whole range (or every member stopped inside it).
-    pub next: usize,
-    /// Per-member frontiers, in member order: each member's local stop
-    /// index, partials and errors.
-    pub members: Vec<MemberFrontier>,
-}
-
-impl PanelFragment {
-    /// Whether the fragment's range is fully decided: the walk reached
-    /// `hi`, or every member short-circuited inside the range.
-    pub fn is_complete(&self) -> bool {
-        self.next >= self.hi || self.members.iter().all(|m| m.stop_at.is_some())
-    }
-
-    /// The continuation of an incomplete (budget-interrupted) fragment.
-    /// Feed it to
-    /// [`SweepSession::resume_panel_fragment`](super::SweepSession::resume_panel_fragment)
-    /// on a session with the same shard to finish the range.
-    pub fn into_resume_token(self) -> PanelResumeToken {
-        PanelResumeToken {
-            next_index: self.next,
-            members: self.members,
-        }
-    }
-}
-
-/// Runs one shard's panel pass over `[lo, hi)` without reducing.
-/// `max_items` caps this shard's items, `deadline` is wall-clock from
-/// this call, and a budget stop inside the range counts as a budget
-/// interruption.
-#[allow(clippy::too_many_arguments)] // the args are the walk's state, not a config
-pub(super) fn run_panel_fragment(
+/// Walks `fragment` onward under `budget` without reducing: the
+/// fragment-returning twin of [`run_panel`].
+pub(super) fn run_fragment(
     checks: &[DynPropertyCheck<'_>],
     universe: &Universe,
     mode: ExecMode,
     budget: &SweepBudget,
-    token: PanelResumeToken,
+    fragment: PanelFragment,
     opts: SweepOpts,
     recorder: Option<&dyn SweepRecorder>,
-    lo: usize,
-    hi: usize,
 ) -> PanelFragment {
-    let hi = hi.min(universe.len());
-    let nmem = checks.len();
-    if nmem == 0 {
-        return PanelFragment {
-            lo,
-            hi,
-            next: hi,
-            members: Vec::new(),
-        };
-    }
-    let start = Instant::now();
     if let Some(r) = recorder {
         r.span_enter("panel");
     }
-    let mut token = token;
-    if token.next_index < lo {
-        token.next_index = lo;
-    }
-    let (pass, _) = run_panel_pass(
-        checks, universe, mode, budget, token, opts, recorder, hi, start,
-    );
-    let all_stopped = pass.stop_at.iter().all(|&s| s != usize::MAX);
-    if !all_stopped && pass.next < hi {
-        budget.note_interruption(recorder);
-    }
+    let (fragment, _) = walk(checks, universe, mode, budget, fragment, opts, recorder);
     if let Some(r) = recorder {
         r.span_exit("panel");
     }
-    let members = pass
-        .stop_at
-        .iter()
-        .zip(pass.partials.into_iter().zip(pass.errors))
-        .map(|(&stop, (partials, errors))| MemberFrontier {
-            stop_at: (stop != usize::MAX).then_some(stop),
-            partials,
-            errors,
-        })
-        .collect();
-    PanelFragment {
-        lo,
-        hi,
-        next: pass.next,
-        members,
-    }
+    fragment
 }
 
-/// One capped panel pass: channel setup, cache build, the walk over
-/// `[token.next_index, min(next_index + max_items, limit))`, counter
-/// flushing, and the token merge + per-member retention (partials and
-/// errors index-sorted, nothing past a member's stop) — the shared middle
-/// of [`run_panel`] and [`run_panel_fragment`], returned with the walk's
-/// counters. Emits every recorder event of a panel except the enclosing
-/// span and the reduce phase, which the callers own.
-#[allow(clippy::too_many_arguments)] // the args are the walk's state, not a config
-fn run_panel_pass(
+/// One capped walk of `fragment` from `next` toward `hi`: channel setup,
+/// cache build, the chunk walk over at most `budget.max_items` items,
+/// counter flushing and the member fold. The deadline runs from this
+/// call. Emits every recorder event of a panel except the enclosing span
+/// and the reduce phase, which the callers own.
+///
+/// # Panics
+///
+/// When `fragment` describes a different number of members than
+/// `checks`.
+fn walk(
     checks: &[DynPropertyCheck<'_>],
     universe: &Universe,
     mode: ExecMode,
     budget: &SweepBudget,
-    token: PanelResumeToken,
+    mut fragment: PanelFragment,
     opts: SweepOpts,
     recorder: Option<&dyn SweepRecorder>,
-    limit: usize,
-    start: Instant,
-) -> (PanelPass, PanelWalkStats) {
+) -> (PanelFragment, PanelWalkStats) {
     let nmem = checks.len();
     assert_eq!(
-        token.members.len(),
+        fragment.members.len(),
         nmem,
-        "panel resume token describes a different member list"
+        "panel fragment describes a different member list"
     );
-    let deadline = budget.deadline.map(|d| start + d);
+    let deadline = budget.deadline.map(|d| Instant::now() + d);
+    fragment.hi = fragment.hi.min(universe.len());
+    fragment.next = fragment.next.max(fragment.lo).min(fragment.hi);
+    let begin = fragment.next;
+    let end = match budget.max_items {
+        Some(m) => begin.saturating_add(m).min(fragment.hi),
+        None => fragment.hi,
+    };
+    let threads = resolve_threads(mode, end - begin);
+    let mut stats = PanelWalkStats {
+        threads,
+        ..PanelWalkStats::default()
+    };
+    if fragment.is_complete() {
+        return (fragment, stats);
+    }
     let oracle = opts.strategy == SweepStrategy::DecodeOracle;
     let cache_start = recorder.map(|r| r.now_micros());
 
@@ -641,43 +545,23 @@ fn run_panel_pass(
         recorder,
     };
 
-    let begin = token.next_index.min(limit);
-    let end = match budget.max_items {
-        Some(m) => begin.saturating_add(m).min(limit),
-        None => limit,
-    };
-    let threads = resolve_threads(mode, end.saturating_sub(begin));
-    let init_stop: Vec<usize> = token
-        .members
-        .iter()
-        .map(|f| f.stop_at.unwrap_or(usize::MAX))
-        .collect();
-
     let walk_start = recorder.map(|r| r.now_micros());
-    let pass = if threads > 1 {
-        run_panel_parallel(&engine, threads, begin, end, deadline, init_stop)
-    } else {
-        run_panel_sequential(&engine, begin, end, deadline, init_stop)
-    };
+    let prior_errors: usize = fragment.members.iter().map(|f| f.errors.len()).sum();
+    walk_chunks(&engine, threads, &mut fragment, end, deadline);
     if let (Some(r), Some(t0)) = (recorder, walk_start) {
         r.record_phase(SweepPhase::Walk, r.now_micros().saturating_sub(t0));
     }
+    stats.cache_hits = hits.load(Ordering::Relaxed);
+    stats.cache_misses = misses.load(Ordering::Relaxed);
+    stats.memo_hits = memo_hits.load(Ordering::Relaxed);
+    stats.memo_misses = memo_misses.load(Ordering::Relaxed);
     if let Some(r) = recorder {
-        let new_errors: usize = pass.errors.iter().map(|e| e.len()).sum();
-        r.add(SweepCounter::PanicsCaught, new_errors as u64);
-        r.add(SweepCounter::CacheHits, hits.load(Ordering::Relaxed) as u64);
-        r.add(
-            SweepCounter::CacheMisses,
-            misses.load(Ordering::Relaxed) as u64,
-        );
-        r.add(
-            SweepCounter::MemoHits,
-            memo_hits.load(Ordering::Relaxed) as u64,
-        );
-        r.add(
-            SweepCounter::MemoMisses,
-            memo_misses.load(Ordering::Relaxed) as u64,
-        );
+        let errors: usize = fragment.members.iter().map(|f| f.errors.len()).sum();
+        r.add(SweepCounter::PanicsCaught, (errors - prior_errors) as u64);
+        r.add(SweepCounter::CacheHits, stats.cache_hits as u64);
+        r.add(SweepCounter::CacheMisses, stats.cache_misses as u64);
+        r.add(SweepCounter::MemoHits, stats.memo_hits as u64);
+        r.add(SweepCounter::MemoMisses, stats.memo_misses as u64);
         let quotient_blocks: u64 = engine
             .quotients
             .iter()
@@ -688,50 +572,20 @@ fn run_panel_pass(
             r.add(SweepCounter::QuotientBlocks, quotient_blocks);
         }
     }
-
-    // Merge token state in front of this pass's records, then restore
-    // the per-member sequential invariants: index order, nothing past
-    // the member's stop.
-    let mut member_partials = pass.partials;
-    let mut member_errors = pass.errors;
-    for (m, frontier) in token.members.into_iter().enumerate() {
-        let mut merged = frontier.partials;
-        merged.append(&mut member_partials[m]);
-        member_partials[m] = merged;
-        let mut merged_errors = frontier.errors;
-        merged_errors.append(&mut member_errors[m]);
-        member_errors[m] = merged_errors;
+    for member in &mut fragment.members {
+        member.fold();
     }
-    for m in 0..nmem {
-        member_partials[m].sort_by_key(|&(i, _)| i);
-        member_errors[m].sort_by_key(|e| e.item_index);
-        let stop = pass.stop_at[m];
-        if stop != usize::MAX {
-            member_partials[m].retain(|&(i, _)| i <= stop);
-            member_errors[m].retain(|e| e.item_index <= stop);
-        }
+    if !fragment.is_complete() {
+        budget.note_interruption(recorder);
     }
-
-    let merged = PanelPass {
-        partials: member_partials,
-        errors: member_errors,
-        stop_at: pass.stop_at,
-        next: pass.next,
-    };
-    let stats = PanelWalkStats {
-        threads,
-        cache_hits: hits.load(Ordering::Relaxed),
-        cache_misses: misses.load(Ordering::Relaxed),
-        memo_hits: memo_hits.load(Ordering::Relaxed),
-        memo_misses: memo_misses.load(Ordering::Relaxed),
-    };
-    (merged, stats)
+    (fragment, stats)
 }
 
 /// The walk counters [`reduce_panel`] copies into the panel evidence. A
 /// live walk loads them from its atomics; the shard merge has no walk of
 /// its own and passes zeros (those counters are observed, not stable, so
 /// the stable report rendering never reads them).
+#[derive(Default)]
 pub(super) struct PanelWalkStats {
     pub(super) threads: usize,
     pub(super) cache_hits: usize,
@@ -741,18 +595,16 @@ pub(super) struct PanelWalkStats {
 }
 
 /// The per-member reduce + evidence assembly shared by [`run_panel`] and
-/// the shard merge: folds each member's partials (already sorted and
-/// retention-filtered, with `stop_at` the member's global stop) into its
-/// verdict and assembles the [`PanelReport`]. The member lists and stop
-/// semantics are exactly those of the single-process panel, which is what
-/// makes a merged report structurally identical to an unsharded one.
+/// the shard merge: reduces each member's folded frontier (its stop the
+/// member's global stop) into its verdict and assembles the
+/// [`PanelReport`]. The member lists and stop semantics are exactly those
+/// of the single-process panel, which is what makes a merged report
+/// structurally identical to an unsharded one.
 #[allow(clippy::too_many_arguments)] // the args are the walk's state, not a config
 pub(super) fn reduce_panel(
     checks: &[DynPropertyCheck<'_>],
     universe: &Universe,
-    member_partials: Vec<Vec<(usize, ErasedPartial)>>,
-    member_errors: Vec<Vec<SweepError>>,
-    stop_at: &[usize],
+    frontiers: Vec<MemberFrontier>,
     next: usize,
     interrupted: bool,
     stats: PanelWalkStats,
@@ -760,11 +612,10 @@ pub(super) fn reduce_panel(
     start: Instant,
 ) -> PanelReport {
     let n = universe.len();
-    let nmem = checks.len();
-    let all_stopped = stop_at.iter().all(|&s| s != usize::MAX);
-    let mut panel_errors: Vec<SweepError> = member_errors
+    let all_stopped = frontiers.iter().all(|f| f.stop_at.is_some());
+    let mut panel_errors: Vec<SweepError> = frontiers
         .iter()
-        .flat_map(|errs| errs.iter().cloned())
+        .flat_map(|f| f.errors.iter().cloned())
         .collect();
     panel_errors.sort_by_key(|e| e.item_index);
     let coverage = if interrupted || !panel_errors.is_empty() {
@@ -773,17 +624,20 @@ pub(super) fn reduce_panel(
         universe.coverage()
     };
     let panel_checked = if all_stopped {
-        stop_at.iter().copied().max().unwrap_or(0) + 1
+        frontiers
+            .iter()
+            .filter_map(|f| f.stop_at)
+            .max()
+            .map_or(0, |s| s + 1)
     } else {
         next
     };
 
     let reduce_start = recorder.map(|r| r.now_micros());
-    let mut members = Vec::with_capacity(nmem);
-    for (m, (partials_m, errors_m)) in member_partials.into_iter().zip(member_errors).enumerate() {
-        let check = &checks[m];
-        let stopped = stop_at[m] != usize::MAX;
-        let checked = if stopped { stop_at[m] + 1 } else { next };
+    let mut members = Vec::with_capacity(checks.len());
+    for (check, frontier) in checks.iter().zip(frontiers) {
+        let stopped = frontier.stop_at.is_some();
+        let checked = frontier.stop_at.map_or(next, |s| s + 1);
         #[cfg(conformance_mutants)]
         let checked = if crate::mutants::active("checked_off_by_one") && stopped {
             checked - 1
@@ -791,7 +645,7 @@ pub(super) fn reduce_panel(
             checked
         };
         let member_interrupted = interrupted && !stopped;
-        let member_coverage = if member_interrupted || !errors_m.is_empty() {
+        let member_coverage = if member_interrupted || !frontier.errors.is_empty() {
             Coverage::Sampled
         } else {
             universe.coverage()
@@ -801,7 +655,7 @@ pub(super) fn reduce_panel(
             universe_size: n,
             short_circuited: stopped,
         };
-        let value = check.reduce(universe, partials_m, &outcome);
+        let value = check.reduce(universe, frontier.partials, &outcome);
         let (passed, detail) = check.summarize(&*value);
         members.push(PanelMemberReport {
             tag: check.tag(),
@@ -811,7 +665,7 @@ pub(super) fn reduce_panel(
             short_circuited: stopped,
             interrupted: member_interrupted,
             coverage: member_coverage,
-            errors: errors_m,
+            errors: frontier.errors,
         });
     }
 
@@ -843,190 +697,106 @@ pub(super) fn reduce_panel(
     }
 }
 
-fn run_panel_sequential(
-    engine: &PanelEngine<'_>,
-    begin: usize,
-    end: usize,
-    deadline: Option<Instant>,
-    mut stop_at: Vec<usize>,
-) -> PanelPass {
-    let nmem = engine.checks.len();
-    let mut worker = PanelWorker::new(engine.drivers.len(), engine.memo_on);
-    let mut partials: Vec<Vec<(usize, ErasedPartial)>> = (0..nmem).map(|_| Vec::new()).collect();
-    let mut errors: Vec<Vec<SweepError>> = (0..nmem).map(|_| Vec::new()).collect();
-    let mut next = end;
-    let mut newly_stopped: Vec<usize> = Vec::new();
-    // Span bookkeeping (recorder-only): the sequential walk visits blocks
-    // in order, so one extra `locate` per item detects every transition.
-    let mut span_block: Option<usize> = None;
-    for i in begin..end {
-        if stop_at.iter().all(|&s| s != usize::MAX) {
-            break;
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            next = i;
-            break;
-        }
-        if let Some(r) = engine.recorder {
-            let (block, _) = engine.universe.locate(i);
-            if span_block != Some(block) {
-                if let Some(b) = span_block {
-                    r.span_exit(&format!("block:{b}"));
-                }
-                r.span_enter(&format!("block:{block}"));
-                span_block = Some(block);
-            }
-        }
-        newly_stopped.clear();
-        {
-            let checks = engine.checks;
-            let stops = &mut newly_stopped;
-            let parts = &mut partials;
-            let errs = &mut errors;
-            let stop_view = &stop_at;
-            let active = |m: usize| stop_view[m] == usize::MAX;
-            let record = |m: usize, r: Result<Option<ErasedPartial>, SweepError>| match r {
-                Ok(Some(p)) => {
-                    let stop = checks[m].short_circuits(&p);
-                    parts[m].push((i, p));
-                    if stop {
-                        stops.push(m);
-                    }
-                }
-                Ok(None) => {}
-                Err(e) => errs[m].push(e),
-            };
-            engine.run_item(&mut worker, i, active, record);
-        }
-        for &m in &newly_stopped {
-            stop_at[m] = stop_index(i);
-        }
-    }
-    if let (Some(r), Some(b)) = (engine.recorder, span_block) {
-        r.span_exit(&format!("block:{b}"));
-    }
-    worker.flush(engine);
-    PanelPass {
-        partials,
-        errors,
-        stop_at,
-        next,
-    }
-}
-
-fn run_panel_parallel(
+/// The repository's one indexed walk: `threads` workers claim chunks of
+/// `[fragment.next, end)` from a shared cursor and append their records
+/// to `fragment`. Worker 0 is the calling thread and records straight
+/// into the fragment's vectors, so one thread spawns nothing and moves
+/// nothing; helpers' records are appended after the join, unordered
+/// until the caller folds them.
+///
+/// The deadline is checked before every claim and a claimed chunk runs to
+/// completion, so the visited set stays the contiguous prefix
+/// `[begin, cursor)` that one `next` describes. Members stop by
+/// `fetch_min` on their frontier; an item is skippable only when every
+/// member is past it, so the walk's horizon is the *maximum* member stop.
+fn walk_chunks(
     engine: &PanelEngine<'_>,
     threads: usize,
-    begin: usize,
+    fragment: &mut PanelFragment,
     end: usize,
     deadline: Option<Instant>,
-    init_stop: Vec<usize>,
-) -> PanelPass {
-    let nmem = engine.checks.len();
-    let span = end - begin;
-    let chunk = (span / (threads * 8)).clamp(16, 1024);
+) {
+    let begin = fragment.next;
+    let chunk = ((end - begin) / (threads * 8)).clamp(16, 1024);
     let cursor = AtomicUsize::new(begin);
-    let stop_at: Vec<AtomicUsize> = init_stop.into_iter().map(AtomicUsize::new).collect();
-    // An item is skippable only when every member is past it: the walk's
-    // horizon is the maximum member stop, unbounded while any member is
-    // still active.
-    let horizon = |stops: &[AtomicUsize]| -> usize {
-        let mut h = 0usize;
-        for s in stops {
-            let v = s.load(Ordering::Relaxed);
-            if v == usize::MAX {
-                return usize::MAX;
+    let stop_at: Vec<AtomicUsize> = fragment
+        .members
+        .iter()
+        .map(|f| AtomicUsize::new(f.stop_at.unwrap_or(usize::MAX)))
+        .collect();
+    // An active member's stop is `usize::MAX`, so the maximum is
+    // unbounded while any member is active.
+    let horizon = || stop_at.iter().map(|s| s.load(Ordering::Relaxed)).max();
+    let claim_chunks = |members: &mut [MemberFrontier]| {
+        let mut worker = PanelWorker::new(engine.drivers.len(), engine.memo_on);
+        while deadline.is_none_or(|d| Instant::now() < d) {
+            let claim = chunk;
+            #[cfg(conformance_mutants)]
+            let claim = if crate::mutants::active("chunk_claim_overlap") {
+                chunk - 1
+            } else {
+                claim
+            };
+            let start = cursor.fetch_add(claim, Ordering::Relaxed);
+            if start >= end || Some(start) > horizon() {
+                break;
             }
-            h = h.max(v);
+            if let Some(r) = engine.recorder {
+                r.span_enter(&format!("chunk:{start}"));
+            }
+            for i in start..(start + chunk).min(end) {
+                if Some(i) > horizon() {
+                    break;
+                }
+                let active = |m: usize| i <= stop_at[m].load(Ordering::Relaxed);
+                let record = |m: usize, r: Result<Option<ErasedPartial>, SweepError>| match r {
+                    Ok(Some(p)) => {
+                        if engine.checks[m].short_circuits(&p) {
+                            stop_at[m].fetch_min(stop_index(i), Ordering::Relaxed);
+                        }
+                        members[m].partials.push((i, p));
+                    }
+                    Ok(None) => {}
+                    Err(e) => members[m].errors.push(e),
+                };
+                engine.run_item(&mut worker, i, active, record);
+            }
+            if let Some(r) = engine.recorder {
+                r.span_exit(&format!("chunk:{start}"));
+            }
         }
-        h
+        worker.flush(engine);
     };
-
-    let mut partials: Vec<Vec<(usize, ErasedPartial)>> = (0..nmem).map(|_| Vec::new()).collect();
-    let mut errors: Vec<Vec<SweepError>> = (0..nmem).map(|_| Vec::new()).collect();
     std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
+        let helpers: Vec<_> = (1..threads)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut worker = PanelWorker::new(engine.drivers.len(), engine.memo_on);
-                    let mut local: Vec<Vec<(usize, ErasedPartial)>> =
-                        (0..nmem).map(|_| Vec::new()).collect();
-                    let mut local_errors: Vec<Vec<SweepError>> =
-                        (0..nmem).map(|_| Vec::new()).collect();
-                    loop {
-                        // Deadline before claiming; claimed chunks run to
-                        // completion — the visited set stays the contiguous
-                        // prefix [begin, cursor), which one resume index
-                        // describes.
-                        if deadline.is_some_and(|d| Instant::now() >= d) {
-                            break;
-                        }
-                        let claim = chunk;
-                        #[cfg(conformance_mutants)]
-                        let claim = if crate::mutants::active("chunk_claim_overlap") {
-                            chunk - 1
-                        } else {
-                            claim
-                        };
-                        let start = cursor.fetch_add(claim, Ordering::Relaxed);
-                        if start >= end || start > horizon(&stop_at) {
-                            break;
-                        }
-                        if let Some(r) = engine.recorder {
-                            r.span_enter(&format!("chunk:{start}"));
-                        }
-                        for i in start..(start + chunk).min(end) {
-                            if i > horizon(&stop_at) {
-                                break;
-                            }
-                            let stops = &stop_at;
-                            let active = |m: usize| i <= stops[m].load(Ordering::Relaxed);
-                            let record =
-                                |m: usize, r: Result<Option<ErasedPartial>, SweepError>| match r {
-                                    Ok(Some(p)) => {
-                                        let stop = engine.checks[m].short_circuits(&p);
-                                        local[m].push((i, p));
-                                        if stop {
-                                            stops[m].fetch_min(stop_index(i), Ordering::Relaxed);
-                                        }
-                                    }
-                                    Ok(None) => {}
-                                    Err(e) => local_errors[m].push(e),
-                                };
-                            engine.run_item(&mut worker, i, active, record);
-                        }
-                        if let Some(r) = engine.recorder {
-                            r.span_exit(&format!("chunk:{start}"));
-                        }
-                    }
-                    worker.flush(engine);
-                    (local, local_errors)
+                    let mut local: Vec<MemberFrontier> = (0..stop_at.len())
+                        .map(|_| MemberFrontier::default())
+                        .collect();
+                    claim_chunks(&mut local);
+                    local
                 })
             })
             .collect();
-        for w in workers {
+        claim_chunks(&mut fragment.members);
+        for helper in helpers {
             // invariant: member panics are caught per item by `run_item`,
             // so a worker can only die of an engine bug — propagate.
-            let (local, local_errors) = w.join().expect("panel worker panicked");
-            for (m, mut p) in local.into_iter().enumerate() {
-                partials[m].append(&mut p);
-            }
-            for (m, mut e) in local_errors.into_iter().enumerate() {
-                errors[m].append(&mut e);
+            let local = helper.join().expect("panel worker panicked");
+            for (mine, theirs) in fragment.members.iter_mut().zip(local) {
+                mine.partials.extend(theirs.partials);
+                mine.errors.extend(theirs.errors);
             }
         }
     });
-    let stops: Vec<usize> = stop_at.iter().map(|s| s.load(Ordering::Relaxed)).collect();
-    let all_stopped = stops.iter().all(|&s| s != usize::MAX);
-    let next = if all_stopped {
+    for (member, stop) in fragment.members.iter_mut().zip(&stop_at) {
+        let stop = stop.load(Ordering::Relaxed);
+        member.stop_at = (stop != usize::MAX).then_some(stop);
+    }
+    fragment.next = if fragment.members.iter().all(|f| f.stop_at.is_some()) {
         end
     } else {
-        cursor.load(Ordering::Relaxed).min(end)
+        cursor.into_inner().min(end)
     };
-    PanelPass {
-        partials,
-        errors,
-        stop_at: stops,
-        next,
-    }
 }

@@ -45,9 +45,8 @@ use crate::verify::{
     SweepRecorder, SweepStrategy, SymmetrySpec, Universe, UniverseItem,
 };
 
-use super::budget::{MemberFrontier, SweepError};
+use super::budget::{MemberFrontier, PanelFragment, SweepError};
 use super::erased::ErasedPartial;
-use super::panel::PanelFragment;
 use super::session::SweepSession;
 use super::shard::{merge_panel_fragments, ShardSpec};
 use super::telemetry::diff;
@@ -416,6 +415,8 @@ fn serialize_partial(kind: MemberKind, item: usize, partial: &ErasedPartial) -> 
     match kind {
         MemberKind::Sound => format!("p {item}\n"),
         MemberKind::Strong => {
+            // invariant: `kinds()` tags a member `Strong` only when it
+            // wraps a `StrongCheck`, whose partial is a `StrongViolation`.
             let v = partial
                 .downcast_ref::<StrongViolation>()
                 .expect("strong member partial is a StrongViolation");
@@ -427,6 +428,8 @@ fn serialize_partial(kind: MemberKind, item: usize, partial: &ErasedPartial) -> 
             }
         }
         MemberKind::Scan => {
+            // invariant: `kinds()` tags a member `Scan` only when it wraps
+            // the `NbhdAnalyses` scan, whose partial is an `NbhdScan`.
             let scan = partial
                 .downcast_ref::<NbhdScan>()
                 .expect("scan member partial is an NbhdScan");
@@ -682,6 +685,13 @@ impl<'a> AuditPlan<'a> {
 
     /// Compiles the plan into panels grouped by universe shape and
     /// executes them as a batch.
+    ///
+    /// # Panics
+    ///
+    /// When the labelings universe cannot be built: an
+    /// [`InstanceSet::Explicit`] family whose labelings overflow the flat
+    /// index space, or an [`InstanceSet::Lemma31`] family past
+    /// [`Universe::lemma31`]'s limits.
     pub fn run(&self) -> AuditReport {
         let mut report = self.fresh_report();
         if let Some(r) = self.attached() {
@@ -756,7 +766,8 @@ impl<'a> AuditPlan<'a> {
     }
 
     /// The labelings-shape universe: every instance crossed with every
-    /// labeling over the alphabet.
+    /// labeling over the alphabet. Panics as documented on
+    /// [`AuditPlan::run`], the public entry points' shared panic.
     fn labelings_universe(&self) -> Universe {
         match &self.instances {
             InstanceSet::Explicit {
@@ -843,6 +854,8 @@ impl<'a> AuditPlan<'a> {
                 .push("completeness skipped: prover's promise class misses the family".into());
             return;
         }
+        // invariant: one item per instance, and these instances are a
+        // subset of the labelings universe's blocks, which already fit.
         let universe = Universe::instances_only(yes_instances, Coverage::Sampled)
             .expect("one item per instance fits");
         let member = completeness_member(self.decoder, prover);
@@ -906,6 +919,8 @@ impl<'a> AuditPlan<'a> {
             .iter()
             .map(|targets| erased_labeling(honest, targets))
             .collect();
+        // invariant: one item per materialized labeling, and a `Vec`
+        // length always fits the flat index space.
         let universe =
             Universe::labelings_of(honest.instance().clone(), labelings, Coverage::Sampled)
                 .expect("materialized labelings fit");
@@ -957,6 +972,11 @@ impl<'a> AuditPlan<'a> {
     /// [`AuditPlan::run_with_shards`] reassembles the fragments, so a
     /// merged report is the same reduction over the same partials as a
     /// single-process run — byte-identical stable JSON.
+    ///
+    /// # Panics
+    ///
+    /// As [`AuditPlan::run`] does, when the labelings universe cannot be
+    /// built.
     pub fn run_shard(&self, shard: ShardSpec) -> String {
         let universe = self.labelings_universe();
         let is_yes = self.yes_mask(&universe);
@@ -974,7 +994,7 @@ impl<'a> AuditPlan<'a> {
         let mut fragment = session.run_panel_fragment(&members);
         while !fragment.is_complete() {
             let stalled = fragment.next;
-            fragment = session.resume_panel_fragment(&members, fragment.into_resume_token());
+            fragment = session.resume_panel_fragment(&members, fragment);
             if fragment.next == stalled {
                 break; // deadline too tight to advance; ship the torn range
             }
@@ -1021,6 +1041,11 @@ impl<'a> AuditPlan<'a> {
     /// the *sum* of the shards' stable counters
     /// ([`super::shard::sum_stable_counters`]): stable counters are
     /// per-item, so their shard sums equal a single process's counts.
+    ///
+    /// # Panics
+    ///
+    /// As [`AuditPlan::run`] does, when the labelings universe cannot be
+    /// built.
     pub fn run_with_shards(&self, shard_reports: &[String]) -> Result<AuditReport, String> {
         let mut report = self.fresh_report();
         if let Some(r) = self.attached() {
@@ -1384,10 +1409,11 @@ pub struct AuditReport {
 }
 
 /// The stable counters that compose across shard boundaries — the only
-/// counters [`AuditReport::to_stable_json`] prints. `cache_hits` and
-/// `cache_misses` are deterministic for a fixed single-process plan but
-/// not shard-composable (each process warms its own skeleton cache), so
-/// they are deliberately absent.
+/// counters [`AuditReport::to_stable_json`] prints. `cache_misses` is
+/// deterministic for a fixed single-process plan but not shard-composable
+/// (each process warms its own skeleton cache), and `cache_hits` is not
+/// even deterministic (see [`super::SweepCounter::is_stable`]), so both are
+/// deliberately absent.
 pub const STABLE_COUNTER_ALLOWLIST: &[&str] = &[
     "budget_interruptions",
     "items_inspected",

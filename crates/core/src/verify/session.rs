@@ -17,8 +17,7 @@
 //! [`run`](SweepSession::run), [`run_budgeted`](SweepSession::run_budgeted)
 //! and [`resume`](SweepSession::resume) wrap their check in a one-member
 //! [`DynPropertyCheck`] panel and downcast the member's verdict back to the
-//! check's own type; the resume token stays the one-member
-//! [`PanelResumeToken`].
+//! check's own type; the continuation is a one-member [`PanelFragment`].
 //!
 //! # Sharding
 //!
@@ -30,7 +29,8 @@
 //!   treat the shard range as the whole job and produce a normal report.
 //!   When `hi < universe.len()` the report is flagged `interrupted` with
 //!   [`Coverage::Sampled`] — correct, since one shard *is* a sample of
-//!   the universe. Resume tokens never walk past the shard's `hi`.
+//!   the universe. The continuation is the fragment walked so far, and it
+//!   carries the shard's `hi`, so a resumed walk never leaves the range.
 //! * [`run_panel_fragment`](SweepSession::run_panel_fragment) produces
 //!   the raw [`PanelFragment`] — per-member partials, errors and
 //!   short-circuit frontiers over `[lo, hi)` — which
@@ -41,17 +41,16 @@
 //! # Budget semantics under shards
 //!
 //! [`SweepBudget::max_items`] is a per-*call* cap: on a sharded session it
-//! caps items walked within this shard's range (and is additionally
-//! clamped so the walk never leaves the range). [`SweepBudget::deadline`]
+//! caps items walked within this shard's range. [`SweepBudget::deadline`]
 //! is wall-clock from the start of the call — per process, not split
 //! across shards. Both are pinned by `budget` doc-tests and the
 //! `engine_parity` interrupted-shard property.
 
-use super::budget::{BudgetedSweep, PanelResumeToken, SweepBudget};
+use super::budget::{BudgetedSweep, PanelFragment, SweepBudget};
 use super::check::{PropertyCheck, VerificationReport};
 use super::erased::{DynPropertyCheck, PropertyTag};
 use super::executor::{self, ExecMode, SweepOpts};
-use super::panel::{self, PanelFragment, PanelReport};
+use super::panel::{self, PanelReport};
 use super::shard::ShardSpec;
 use super::telemetry::SweepRecorder;
 use super::universe::{Coverage, Universe};
@@ -129,23 +128,6 @@ impl<'a> SweepSession<'a> {
         }
     }
 
-    /// The budget actually handed to the engine for a walk starting at
-    /// `from`: unchanged when unsharded; on a sharded session `max_items`
-    /// is clamped so the walk cannot leave `[from, hi)`.
-    fn clamped_budget(&self, from: usize, hi: usize) -> SweepBudget {
-        if self.shard.is_none() {
-            return self.budget;
-        }
-        let span = hi.saturating_sub(from);
-        SweepBudget {
-            deadline: self.budget.deadline,
-            max_items: Some(match self.budget.max_items {
-                Some(m) => m.min(span),
-                None => span,
-            }),
-        }
-    }
-
     /// Sweeps `check` over the session's range. With an unlimited budget
     /// and no shard this is the classic exhaustive sweep.
     pub fn run<C>(&self, check: &C) -> VerificationReport<C::Verdict>
@@ -157,33 +139,36 @@ impl<'a> SweepSession<'a> {
         self.run_budgeted(check).report
     }
 
-    /// The token a fresh walk of `members` members starts from: the
-    /// session range's first index.
-    fn start_token(&self, members: usize) -> PanelResumeToken {
-        let mut token = PanelResumeToken::start(members);
-        token.next_index = self.range().0;
-        token
+    /// The never-walked fragment of `members` members over the session's
+    /// range: where every fresh walk starts.
+    fn fresh(&self, members: usize) -> PanelFragment {
+        let (lo, hi) = self.range();
+        PanelFragment::fresh(lo, hi, members)
     }
 
-    /// Sweeps `check` and keeps the resume token when the budget (or the
-    /// shard boundary) interrupts the walk.
+    /// Sweeps `check` and keeps the continuation when the budget stops
+    /// the walk inside the session's range.
     pub fn run_budgeted<C>(&self, check: &C) -> BudgetedSweep<VerificationReport<C::Verdict>>
     where
         C: PropertyCheck,
         C::Partial: Clone + 'static,
         C::Verdict: Send + 'static,
     {
-        self.resume(check, self.start_token(1))
+        self.resume(check, self.fresh(1))
     }
 
-    /// Continues an interrupted sweep from `token` (the one-member panel
-    /// token [`run_budgeted`](SweepSession::run_budgeted) handed back).
-    /// The combined chain of runs reproduces the uninterrupted report
-    /// bit-for-bit.
+    /// Continues an interrupted sweep from `fragment` (the one-member
+    /// continuation [`run_budgeted`](SweepSession::run_budgeted) handed
+    /// back). The combined chain of runs reproduces the uninterrupted
+    /// report bit-for-bit.
+    ///
+    /// # Panics
+    ///
+    /// When `fragment` does not describe exactly one member.
     pub fn resume<C>(
         &self,
         check: &C,
-        token: PanelResumeToken,
+        fragment: PanelFragment,
     ) -> BudgetedSweep<VerificationReport<C::Verdict>>
     where
         C: PropertyCheck,
@@ -191,7 +176,7 @@ impl<'a> SweepSession<'a> {
         C::Verdict: Send + 'static,
     {
         let member = DynPropertyCheck::new(PropertyTag::Custom, "", check);
-        let out = self.resume_panel(std::slice::from_ref(&member), token);
+        let out = self.resume_panel(std::slice::from_ref(&member), fragment);
         BudgetedSweep {
             report: out.report.into_member_report(0),
             resume: out.resume,
@@ -203,64 +188,65 @@ impl<'a> SweepSession<'a> {
         self.run_panel_budgeted(checks).report
     }
 
-    /// [`run_panel`](SweepSession::run_panel) keeping the panel resume
-    /// token when the walk is interrupted.
+    /// [`run_panel`](SweepSession::run_panel) keeping the continuation
+    /// when the budget stops the walk inside the session's range.
     pub fn run_panel_budgeted(
         &self,
         checks: &[DynPropertyCheck<'_>],
     ) -> BudgetedSweep<PanelReport> {
-        self.resume_panel(checks, self.start_token(checks.len()))
+        self.resume_panel(checks, self.fresh(checks.len()))
     }
 
-    /// Continues an interrupted panel from `token`. On a sharded session,
-    /// a token that has reached the shard's `hi` is spent and dropped, so
-    /// resume chains terminate at the shard boundary.
+    /// Continues an interrupted panel from `fragment`, walking toward the
+    /// fragment's own `hi` under this session's mode, options, budget and
+    /// recorder.
+    ///
+    /// # Panics
+    ///
+    /// When `fragment` describes a different number of members than
+    /// `checks`.
     pub fn resume_panel(
         &self,
         checks: &[DynPropertyCheck<'_>],
-        token: PanelResumeToken,
+        fragment: PanelFragment,
     ) -> BudgetedSweep<PanelReport> {
-        let (_, hi) = self.range();
-        let budget = self.clamped_budget(token.next_index, hi);
-        let mut out = panel::run_panel(
+        panel::run_panel(
             checks,
             self.universe,
             self.mode,
-            &budget,
-            token,
+            &self.budget,
+            fragment,
             self.opts,
             self.recorder,
-        );
-        if self.shard.is_some() && out.resume.as_ref().is_some_and(|t| t.next_index >= hi) {
-            out.resume = None;
-        }
-        out
+        )
     }
 
     /// Walks the session's range and returns the raw [`PanelFragment`] —
     /// the panel shard-merge input — instead of reducing members.
     pub fn run_panel_fragment(&self, checks: &[DynPropertyCheck<'_>]) -> PanelFragment {
-        self.resume_panel_fragment(checks, self.start_token(checks.len()))
+        self.resume_panel_fragment(checks, self.fresh(checks.len()))
     }
 
-    /// Continues an interrupted panel fragment walk from `token` (built
-    /// with [`PanelFragment::into_resume_token`]).
+    /// Continues an interrupted fragment walk (one that is not
+    /// [complete](PanelFragment::is_complete)) toward its `hi`.
+    ///
+    /// # Panics
+    ///
+    /// When `fragment` describes a different number of members than
+    /// `checks`.
     pub fn resume_panel_fragment(
         &self,
         checks: &[DynPropertyCheck<'_>],
-        token: PanelResumeToken,
+        fragment: PanelFragment,
     ) -> PanelFragment {
-        let (lo, hi) = self.range();
-        panel::run_panel_fragment(
+        panel::run_fragment(
             checks,
             self.universe,
             self.mode,
             &self.budget,
-            token,
+            fragment,
             self.opts,
             self.recorder,
-            lo,
-            hi,
         )
     }
 }

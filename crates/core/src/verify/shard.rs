@@ -9,17 +9,18 @@
 //! prefix of its range and every [`SweepStrategy`] is a pure function of
 //! the item index, shard `i`'s walk over `[lo, hi)` records exactly the
 //! partials a single-process walk records while passing through that
-//! range — the whole sharding story rides the existing resume-token
-//! machinery, no new walk semantics.
+//! range — a shard's walk state is the same [`PanelFragment`] an
+//! interrupted run continues from, no new walk semantics.
 //!
 //! # Merge
 //!
-//! [`merge_panel_fragments`] validates that the fragments *tile* the universe exactly (no gap, no overlap, nothing
-//! torn), compose the short-circuit frontier (the global stop is the
-//! minimum over shards — exactly the `fetch_min` rule worker threads
-//! already obey within one process), apply the same retention rule the
-//! sequential walk applies, and then runs the one reduce a single-process
-//! walk would have run. A single check shards as a one-member panel. Orbit multiplicities under
+//! [`merge_panel_fragments`] validates that the fragments *tile* the
+//! universe exactly (no gap, no overlap, nothing torn), composes the
+//! short-circuit frontier (the global stop is the minimum over shards —
+//! exactly the `fetch_min` rule worker threads already obey within one
+//! process), and then runs the fold and the reduce a single-process walk
+//! runs. A single check shards as a one-member panel. Orbit
+//! multiplicities under
 //! [`SweepStrategy::Quotient`] need no special handling: a representative's
 //! multiplicity is a function of the item alone, so weighted partials
 //! compose by concatenation.
@@ -35,10 +36,10 @@
 //! [`SweepStrategy`]: super::SweepStrategy
 //! [`SweepStrategy::Quotient`]: super::SweepStrategy::Quotient
 
-use super::budget::SweepError;
-use super::erased::{DynPropertyCheck, ErasedPartial};
+use super::budget::{MemberFrontier, PanelFragment};
+use super::erased::DynPropertyCheck;
 use super::executor::{resolve_threads, ExecMode};
-use super::panel::{reduce_panel, PanelFragment, PanelReport, PanelWalkStats};
+use super::panel::{reduce_panel, PanelReport, PanelWalkStats};
 use super::telemetry::{SweepCounter, SweepRecorder};
 use super::universe::Universe;
 use std::time::Instant;
@@ -119,6 +120,10 @@ impl ShardSpec {
     }
 
     /// All `of` shards, in index order.
+    ///
+    /// # Panics
+    ///
+    /// When `of` is zero.
     pub fn partition(of: usize) -> Vec<ShardSpec> {
         assert!(of >= 1, "shard count must be at least 1");
         (0..of).map(|index| ShardSpec { index, of }).collect()
@@ -148,6 +153,10 @@ pub struct ShardRunReport<T> {
 /// and runs under a `shard:i/N` span; each retry additionally bumps
 /// [`SweepCounter::ShardRetries`]. A shard that fails `retry_cap + 1`
 /// times fails the whole run with the last error.
+///
+/// # Panics
+///
+/// When `of` is zero.
 pub fn run_shards<T>(
     of: usize,
     retry_cap: usize,
@@ -255,13 +264,14 @@ fn validate_tiling(
 /// The fragments must tile `[0, universe.len())` exactly and be complete
 /// (use the coordinator's retry to replace torn ones). Each member's
 /// global short-circuit frontier is the minimum `stop_at` over fragments,
-/// and its partials/errors past it are discarded — the same rule the
-/// in-process parallel walk applies across threads. `mode` is only
+/// and the member fold drops its partials/errors past it — the fold a
+/// live walk applies to its worker threads' records. `mode` is only
 /// consulted for the report's `threads` field. The reduce is the very
 /// [`reduce_panel`] the live panel runs, so member verdicts, `checked`
-/// counts and coverage are structurally identical to the unsharded report. The walk counters (cache/memo hits)
-/// are reported as zero — they are observed, not stable, and the stable
-/// rendering never reads them.
+/// counts and coverage are structurally identical to the unsharded
+/// report. The walk counters (cache/memo hits) are reported as zero —
+/// they are observed, not stable, and the stable rendering never reads
+/// them.
 pub fn merge_panel_fragments(
     checks: &[DynPropertyCheck<'_>],
     universe: &Universe,
@@ -277,45 +287,22 @@ pub fn merge_panel_fragments(
         r.add(SweepCounter::ShardMerges, 1);
         r.span_enter("merge");
     }
-    let mut member_partials: Vec<Vec<(usize, ErasedPartial)>> =
-        (0..nmem).map(|_| Vec::new()).collect();
-    let mut member_errors: Vec<Vec<SweepError>> = (0..nmem).map(|_| Vec::new()).collect();
-    let mut stop_at = vec![usize::MAX; nmem];
+    let mut members: Vec<MemberFrontier> = (0..nmem).map(|_| MemberFrontier::default()).collect();
     for f in fragments {
-        for (m, frontier) in f.members.into_iter().enumerate() {
-            if let Some(s) = frontier.stop_at {
-                stop_at[m] = stop_at[m].min(s);
-            }
-            member_partials[m].extend(frontier.partials);
-            member_errors[m].extend(frontier.errors);
+        for (member, frontier) in members.iter_mut().zip(f.members) {
+            member.stop_at = member.stop_at.into_iter().chain(frontier.stop_at).min();
+            member.partials.extend(frontier.partials);
+            member.errors.extend(frontier.errors);
         }
     }
-    for m in 0..nmem {
-        if stop_at[m] != usize::MAX {
-            let s = stop_at[m];
-            member_partials[m].retain(|&(i, _)| i <= s);
-            member_errors[m].retain(|e| e.item_index <= s);
-        }
+    for member in &mut members {
+        member.fold();
     }
     let stats = PanelWalkStats {
         threads: resolve_threads(mode, n),
-        cache_hits: 0,
-        cache_misses: 0,
-        memo_hits: 0,
-        memo_misses: 0,
+        ..PanelWalkStats::default()
     };
-    let report = reduce_panel(
-        checks,
-        universe,
-        member_partials,
-        member_errors,
-        &stop_at,
-        n,
-        false,
-        stats,
-        recorder,
-        start,
-    );
+    let report = reduce_panel(checks, universe, members, n, false, stats, recorder, start);
     if let Some(r) = recorder {
         r.span_exit("merge");
     }

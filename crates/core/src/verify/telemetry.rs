@@ -144,12 +144,15 @@ impl SweepCounter {
     /// inputs for complete (non-short-circuited, uninterrupted) walks —
     /// i.e. byte-identical across runs and thread counts. Per-worker
     /// artifacts (memo splits, interner traffic) are not: chunk
-    /// boundaries move resyncs around. Shard-coordinator counters are
+    /// boundaries move resyncs around. Skeleton-cache hits are not
+    /// either: two workers that both miss the shared interner's key map
+    /// both build (and count) the view. Shard-coordinator counters are
     /// observed too: retries depend on which dispatch attempts failed.
     pub fn is_stable(self) -> bool {
         !matches!(
             self,
-            SweepCounter::MemoHits
+            SweepCounter::CacheHits
+                | SweepCounter::MemoHits
                 | SweepCounter::MemoMisses
                 | SweepCounter::VerdictDecisions
                 | SweepCounter::InternerFrontHits

@@ -294,7 +294,7 @@ proptest! {
         code in 0u8..64, shape in 0u8..2, n in 3usize..7, step in 1usize..12,
     ) {
         // Chop the sweep into `step`-item budget slices (run in parallel
-        // mode), chaining each slice's ResumeToken into the next; the final
+        // mode), chaining each slice's continuation fragment into the next; the final
         // report must be indistinguishable from one uninterrupted
         // sequential sweep.
         let decoder = PortObliviousCycleDecoder::from_code(code);
@@ -441,7 +441,7 @@ proptest! {
         code in 0u8..64, shape in 0u8..2, n in 3usize..7, step in 1usize..12,
     ) {
         // A delta-stepping sweep chopped into budget slices and resumed
-        // must reproduce the uninterrupted *oracle* sweep — resume tokens
+        // must reproduce the uninterrupted *oracle* sweep — continuations
         // are strategy-agnostic.
         let decoder = PortObliviousCycleDecoder::from_code(code);
         let instance = cycle_or_path(shape, n);
@@ -576,7 +576,7 @@ proptest! {
             let mut frag = session.run_panel_fragment(&members);
             let mut slices = 1usize;
             while !frag.is_complete() {
-                frag = session.resume_panel_fragment(&members, frag.into_resume_token());
+                frag = session.resume_panel_fragment(&members, frag);
                 slices += 1;
                 prop_assert!(slices <= universe.len() + 2, "resume chain must terminate");
             }
@@ -593,6 +593,74 @@ proptest! {
             prop_assert_eq!(a.short_circuited, b.short_circuited);
             prop_assert_eq!(a.verdict.passed, b.verdict.passed);
             prop_assert_eq!(&a.verdict.detail, &b.verdict.detail);
+        }
+    }
+
+    #[test]
+    fn interrupted_run_continuation_is_a_mergeable_fragment(
+        code in 0u8..64, n in 3usize..8, step in 5usize..40,
+    ) {
+        // A budget-interrupted run's continuation is the fragment it walked
+        // so far: finishing it with `resume_panel_fragment` and merging it
+        // alone must reproduce the uninterrupted panel, at every execution
+        // mode and strategy. The symmetric cycle makes the quotient bite,
+        // and n = 7 (128 items) crosses the parallel threshold.
+        let decoder = PortObliviousCycleDecoder::from_code(code);
+        let two_col = KCol::new(2);
+        let universe =
+            Universe::all_labelings_of(symmetric_cycle(n), bits(), Coverage::Exhaustive)
+                .expect("small universe fits");
+        let members = [
+            DynPropertyCheck::new(PropertyTag::Soundness, "soundness", SoundnessCheck {
+                decoder: &decoder,
+            })
+            .with_channel(&decoder),
+            DynPropertyCheck::new(PropertyTag::Strong, "strong", StrongCheck {
+                decoder: &decoder,
+                language: &two_col,
+            })
+            .with_channel(&decoder),
+        ];
+        let modes = [
+            ExecMode::Sequential,
+            ExecMode::Parallel(1),
+            ExecMode::Parallel(parity_threads()),
+            ExecMode::Auto,
+        ];
+        for opts in [SweepOpts::default(), SweepOpts::oracle(), SweepOpts::quotient()] {
+            for mode in modes {
+                let session = SweepSession::over(&universe).mode(mode).opts(opts);
+                let full = session.run_panel(&members);
+                let stepped = session.budget(SweepBudget::unlimited().with_max_items(step));
+                let first = stepped.run_panel_budgeted(&members);
+                let Some(mut frag) = first.resume else {
+                    // The first slice decided the panel: nothing to continue.
+                    prop_assert!(!first.report.evidence.interrupted);
+                    prop_assert_eq!(first.report.evidence.checked, full.evidence.checked);
+                    continue;
+                };
+                prop_assert!(first.report.evidence.interrupted);
+                prop_assert_eq!((frag.lo, frag.hi, frag.next), (0, universe.len(), step));
+                let mut slices = 1usize;
+                while !frag.is_complete() {
+                    frag = stepped.resume_panel_fragment(&members, frag);
+                    slices += 1;
+                    prop_assert!(slices <= universe.len() + 2, "resume chain must terminate");
+                }
+                let merged = merge_panel_fragments(&members, &universe, mode, vec![frag], None)
+                    .expect("a complete continuation tiles the universe");
+                prop_assert_eq!(full.evidence.checked, merged.evidence.checked);
+                prop_assert_eq!(full.evidence.short_circuited, merged.evidence.short_circuited);
+                prop_assert_eq!(full.evidence.interrupted, merged.evidence.interrupted);
+                prop_assert_eq!(full.evidence.coverage, merged.evidence.coverage);
+                for (a, b) in full.members.iter().zip(&merged.members) {
+                    prop_assert_eq!(a.checked, b.checked);
+                    prop_assert_eq!(a.short_circuited, b.short_circuited);
+                    prop_assert_eq!(a.coverage, b.coverage);
+                    prop_assert_eq!(a.verdict.passed, b.verdict.passed);
+                    prop_assert_eq!(&a.verdict.detail, &b.verdict.detail);
+                }
+            }
         }
     }
 }
@@ -920,7 +988,7 @@ fn budget_max_items_is_per_shard() {
         let mut slices = 1usize;
         while let Some(token) = state.resume.take() {
             assert!(
-                token.next_index > lo && token.next_index < hi,
+                token.next > lo && token.next < hi,
                 "resume frontier stays inside the shard range"
             );
             state = session.resume(&CountItems, token);

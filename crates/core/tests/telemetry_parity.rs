@@ -20,8 +20,9 @@ use hiding_lcp_core::lower::PortObliviousCycleDecoder;
 use hiding_lcp_core::properties::soundness::SoundnessCheck;
 use hiding_lcp_core::properties::strong::StrongCheck;
 use hiding_lcp_core::verify::{
-    Coverage, DynPropertyCheck, ExecMode, ItemCtx, MetricsRecorder, PropertyCheck, PropertyTag,
-    SweepOpts, SweepOutcome, SweepSession, SymmetrySpec, Universe, UniverseItem,
+    AuditPlan, Coverage, DynPropertyCheck, ExecMode, InstanceSet, ItemCtx, MetricsRecorder,
+    PropertyCheck, PropertyTag, ShardSpec, SweepOpts, SweepOutcome, SweepSession, SymmetrySpec,
+    Universe, UniverseItem,
 };
 
 fn bits() -> Vec<Certificate> {
@@ -181,6 +182,31 @@ fn recorded_panels_match_plain_panels() {
 
 mod enabled {
     use super::*;
+
+    /// A shard report of a complete walk is a pure function of the plan
+    /// and the shard at any thread count: its stable counters and
+    /// partials render the same bytes on every run. (A member that
+    /// short-circuits would let workers walk past its stop, so the plan
+    /// keeps to hiding, which never does.) Hiding's neighborhood
+    /// scan shares one view interner between the workers, so two workers
+    /// can both miss its key map and both build a view — which is why
+    /// `cache_hits` is an observed counter and stays out of the report.
+    #[test]
+    fn parallel_shard_reports_are_byte_identical() {
+        let decoder = PortObliviousCycleDecoder::from_code(63);
+        let plan = AuditPlan::new(&decoder, 2, InstanceSet::Lemma31 { max_n: 4 }, bits())
+            .properties([PropertyTag::Hiding])
+            .mode(ExecMode::Parallel(2));
+        let shard = ShardSpec::new(0, 2);
+        let first = plan.run_shard(shard);
+        assert!(first.contains("counter items_walked "), "{first}");
+        assert!(
+            first.contains(" scan -\n"),
+            "the hiding scan walks the shard: {first}"
+        );
+        assert!(!first.contains("counter cache_hits "), "{first}");
+        assert_eq!(first, plan.run_shard(shard), "second run of shard 0/2");
+    }
 
     /// The stable counter section renders to the same bytes on every
     /// run and in every execution mode. (The observed section may move:

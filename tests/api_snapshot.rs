@@ -60,7 +60,6 @@ blessed_surface![
     // Resume, fragment and shard machinery for external coordinators.
     hiding_lcp::core::verify::MemberFrontier,
     hiding_lcp::core::verify::PanelFragment,
-    hiding_lcp::core::verify::PanelResumeToken,
     hiding_lcp::core::verify::ShardRunReport,
     hiding_lcp::core::verify::merge_panel_fragments,
     hiding_lcp::core::verify::run_shards,
