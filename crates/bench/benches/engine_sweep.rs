@@ -2,8 +2,9 @@
 //! verification engine (experiments E17 and E21).
 //!
 //! Symmetric-port cycles up to n = 8 under every adversary labeling,
-//! swept through a [`HidingCheck`] in `ExecMode::Sequential` and
-//! `ExecMode::Parallel(t)` for the full `{1, 2, 4}` thread ladder
+//! swept through a [`HidingCheck`] on one worker (the `sequential` rows,
+//! `ExecMode::Parallel(1)`) and on `ExecMode::Parallel(t)` for the full
+//! `{1, 2, 4}` thread ladder
 //! (always emitted, even on small boxes, where the extra rows measure
 //! oversubscription). Since PR 3 the default engine path is odometer
 //! enumeration with delta-evaluated verdicts and digit-key memoization;
@@ -147,7 +148,7 @@ fn collect_telemetry(universe: &Universe, group: String) -> TelemetryStats {
     let before = recorder.snapshot();
     drop(sweep_nbhd_recorded(
         universe,
-        ExecMode::Sequential,
+        ExecMode::Parallel(1),
         SweepOpts::default(),
         &recorder,
     ));
@@ -183,7 +184,7 @@ fn collect_stats(universe: &Universe, group: String) -> SweepStats {
         bipartite::is_bipartite,
     );
     let report = SweepSession::over(universe)
-        .mode(ExecMode::Sequential)
+        .mode(ExecMode::Parallel(1))
         .run(&check);
     let (interner_hits, interner_misses) = check.interner_stats();
     SweepStats {
@@ -226,12 +227,12 @@ fn bench_sizes(
         let universe = cycle_universe(max_n);
         // Determinism contract: modes and strategies agree before we time
         // them.
-        let seq = sweep_nbhd(&universe, ExecMode::Sequential, SweepOpts::default());
+        let seq = sweep_nbhd(&universe, ExecMode::Parallel(1), SweepOpts::default());
         let par = sweep_nbhd(&universe, ExecMode::Parallel(threads), SweepOpts::default());
-        let dec = sweep_nbhd(&universe, ExecMode::Sequential, oracle);
-        let quo = sweep_nbhd(&universe, ExecMode::Sequential, SweepOpts::quotient());
-        let sh2 = sweep_nbhd_sharded(&universe, 2, ExecMode::Sequential);
-        let sh4 = sweep_nbhd_sharded(&universe, 4, ExecMode::Sequential);
+        let dec = sweep_nbhd(&universe, ExecMode::Parallel(1), oracle);
+        let quo = sweep_nbhd(&universe, ExecMode::Parallel(1), SweepOpts::quotient());
+        let sh2 = sweep_nbhd_sharded(&universe, 2, ExecMode::Parallel(1));
+        let sh4 = sweep_nbhd_sharded(&universe, 4, ExecMode::Parallel(1));
         for other in [&par, &dec, &quo, &sh2, &sh4] {
             assert_eq!(
                 seq.view_count(),
@@ -263,7 +264,7 @@ fn bench_sizes(
         let mut routines: Vec<(String, Box<dyn FnMut() + '_>)> = Vec::new();
         routines.push((
             "sequential".into(),
-            Box::new(routine(ExecMode::Sequential, SweepOpts::default())),
+            Box::new(routine(ExecMode::Parallel(1), SweepOpts::default())),
         ));
         // The telemetry layer's price: the identical sequential sweep
         // with a live recorder attached. Interleaved with `sequential`,
@@ -276,7 +277,7 @@ fn bench_sizes(
                 move || {
                     drop(black_box(sweep_nbhd_recorded(
                         black_box(universe),
-                        ExecMode::Sequential,
+                        ExecMode::Parallel(1),
                         SweepOpts::default(),
                         &recorder,
                     )))
@@ -294,17 +295,17 @@ fn bench_sizes(
         // path with memo layers off (what odometer stepping alone buys).
         routines.push((
             "oracle".into(),
-            Box::new(routine(ExecMode::Sequential, oracle)),
+            Box::new(routine(ExecMode::Parallel(1), oracle)),
         ));
         routines.push((
             "delta-nomemo".into(),
-            Box::new(routine(ExecMode::Sequential, nomemo)),
+            Box::new(routine(ExecMode::Parallel(1), nomemo)),
         ));
         // The symmetry quotient: only canonical orbit representatives are
         // inspected; everything else is rejected by a minimal-image test.
         routines.push((
             "quotient".into(),
-            Box::new(routine(ExecMode::Sequential, SweepOpts::quotient())),
+            Box::new(routine(ExecMode::Parallel(1), SweepOpts::quotient())),
         ));
         // The shard ladder, crossed with the thread ladder: the universe
         // split into S fragments (each walked at t threads) and merged

@@ -169,11 +169,11 @@ fn fault_sweep(c: &mut Criterion, telemetry: &mut Vec<WorkloadStats>) {
     let decoder = RevealingDecoder::new(2);
     let check = FaultFreeRejectScan { decoder: &decoder };
     let delta = SweepSession::over(&universe)
-        .mode(ExecMode::Sequential)
+        .mode(ExecMode::Parallel(1))
         .opts(SweepOpts::default())
         .run(&check);
     let quotient = SweepSession::over(&universe)
-        .mode(ExecMode::Sequential)
+        .mode(ExecMode::Parallel(1))
         .opts(SweepOpts::quotient())
         .run(&check);
     assert_eq!(
@@ -191,7 +191,7 @@ fn fault_sweep(c: &mut Criterion, telemetry: &mut Vec<WorkloadStats>) {
         b.iter(|| {
             black_box(
                 SweepSession::over(black_box(&universe))
-                    .mode(ExecMode::Sequential)
+                    .mode(ExecMode::Parallel(1))
                     .opts(SweepOpts::default())
                     .run(&check),
             )
@@ -201,7 +201,7 @@ fn fault_sweep(c: &mut Criterion, telemetry: &mut Vec<WorkloadStats>) {
         b.iter(|| {
             black_box(
                 SweepSession::over(black_box(&universe))
-                    .mode(ExecMode::Sequential)
+                    .mode(ExecMode::Parallel(1))
                     .opts(SweepOpts::quotient())
                     .run(&check),
             )

@@ -254,7 +254,7 @@ impl Fixture {
             self.alphabet.clone(),
         )
         .prover(&self.prover)
-        .mode(ExecMode::Sequential)
+        .mode(ExecMode::Parallel(1))
         .opts(opts)
         .run()
     }
@@ -298,7 +298,7 @@ impl Fixture {
             other => unreachable!("unknown solo property {other}"),
         };
         SweepSession::over(universe)
-            .mode(ExecMode::Sequential)
+            .mode(ExecMode::Parallel(1))
             .run_panel(std::slice::from_ref(&member))
     }
 }

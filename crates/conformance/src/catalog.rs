@@ -2,7 +2,7 @@
 //!
 //! [`MUTANTS`] lists every seeded mutant in the production crates — name,
 //! host crate, mutated site, and the probes expected to kill it. The
-//! catalog is the human-readable coverage contract; [`run_battery`]
+//! catalog is the human-readable coverage contract; `run_battery`
 //! (compiled only under `--cfg conformance_mutants`, like the mutants
 //! themselves) is its enforcement: activate each mutant, replay the whole
 //! probe list, and demand at least one probe panics. A surviving mutant

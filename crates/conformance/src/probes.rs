@@ -6,7 +6,7 @@
 //! both the production code *and* the oracle would get wrong together if
 //! the shared view layer drifted). The test suites run every probe on the
 //! clean build via [`ALL`]; the mutation battery
-//! ([`crate::catalog::run_battery`]) replays the same list against each
+//! (`catalog::run_battery`) replays the same list against each
 //! seeded mutant and demands at least one probe panics.
 //!
 //! Probes must therefore be deterministic, self-contained and quick: the
@@ -31,10 +31,10 @@ use hiding_lcp_core::properties::soundness::{SoundnessCheck, SoundnessViolation}
 use hiding_lcp_core::properties::strong::check_strong_exhaustive;
 use hiding_lcp_core::prover::Prover;
 use hiding_lcp_core::verify::{
-    sum_stable_counters, AuditPlan, Block, Coverage, DynPropertyCheck, ExecMode, InstanceSet,
-    ItemCtx, LabelSource, LazySweep, MetricsRecorder, PropertyCheck, PropertyTag, ShardSpec,
-    SweepBudget, SweepOpts, SweepOutcome, SweepSession, SymmetrySpec, Universe, UniverseItem,
-    ViewInterner,
+    merge_panel_fragments, sum_stable_counters, AuditPlan, Block, Coverage, DynPropertyCheck,
+    ExecMode, InstanceSet, ItemCtx, LabelSource, LazySweep, MetricsRecorder, PropertyCheck,
+    PropertyTag, ShardSpec, SweepBudget, SweepOpts, SweepOutcome, SweepSession, SymmetrySpec,
+    Universe, UniverseItem, ViewInterner,
 };
 use hiding_lcp_core::view::{IdMode, View};
 use hiding_lcp_graph::algo::{bipartite, coloring};
@@ -281,10 +281,10 @@ fn assert_tally_parity<D: Decoder + ?Sized>(
     expected: &[(usize, Vec<bool>)],
 ) {
     let tally = VerdictTally { decoder };
-    let session = SweepSession::over(universe).mode(ExecMode::Sequential);
+    let session = SweepSession::over(universe).mode(ExecMode::Parallel(1));
     let delta = session.opts(SweepOpts::default()).run(&tally);
     let decode = SweepSession::over(universe)
-        .mode(ExecMode::Sequential)
+        .mode(ExecMode::Parallel(1))
         .opts(SweepOpts::oracle())
         .run(&tally);
     assert_eq!(
@@ -375,9 +375,10 @@ pub fn delta_mixed_blocks_resync() {
     }
 }
 
-/// A budget-interrupted, resumed delta sweep must land on the identical
-/// tally as the uninterrupted brute-force reference — every resume
-/// re-enters the odometer mid-stream.
+/// A budget-interrupted delta fragment walk, resumed to completion and
+/// merged, must land on the identical tally as the uninterrupted
+/// brute-force reference — every resume re-enters the odometer
+/// mid-stream.
 pub fn delta_budget_resume_parity() {
     let c6 = Instance::canonical(generators::cycle(6));
     let universe = Universe::all_labelings_of(c6.clone(), bits(), Coverage::Exhaustive)
@@ -387,19 +388,29 @@ pub fn delta_budget_resume_parity() {
     };
     let budget = SweepBudget::unlimited().with_max_items(10);
     let session = SweepSession::over(&universe)
-        .mode(ExecMode::Sequential)
+        .mode(ExecMode::Parallel(1))
         .budget(budget)
         .opts(SweepOpts::default());
-    let mut state = session.run_budgeted(&tally);
+    let members = [DynPropertyCheck::new(PropertyTag::Custom, "tally", &tally)];
+    let mut fragment = session.run_panel_fragment(&members);
     let mut slices = 1;
-    while let Some(token) = state.resume.take() {
-        state = session.resume(&tally, token);
+    while !fragment.is_complete() {
+        fragment = session.resume_panel_fragment(&members, fragment);
         slices += 1;
         assert!(slices <= universe.len() + 2, "resume chain must terminate");
     }
+    let report = merge_panel_fragments(
+        &members,
+        &universe,
+        ExecMode::Parallel(1),
+        vec![fragment],
+        None,
+    )
+    .expect("a complete chain tiles the universe")
+    .into_member_report::<Vec<(usize, Vec<bool>)>>(0);
     let expected = expected_tally(&LocalDiff, &exhaustive_items(&c6, &bits()));
-    assert_eq!(state.report.verdict, expected);
-    assert!(!state.report.interrupted);
+    assert_eq!(report.verdict, expected);
+    assert!(!report.interrupted);
 }
 
 /// A star's center ball has four nodes, so its digit keys use slots
@@ -445,7 +456,7 @@ pub fn parallel_chunk_census() {
         decoder: &LocalDiff,
     };
     let seq = SweepSession::over(&universe)
-        .mode(ExecMode::Sequential)
+        .mode(ExecMode::Parallel(1))
         .run(&tally);
     let par = SweepSession::over(&universe)
         .mode(ExecMode::Parallel(crate::parity_threads().max(2)))
@@ -742,7 +753,7 @@ pub fn panel_channel_isolation() {
         )
         .with_channel(&reject),
     ];
-    for mode in [ExecMode::Sequential, ExecMode::Parallel(2)] {
+    for mode in [ExecMode::Parallel(1), ExecMode::Parallel(2)] {
         let panel = SweepSession::over(&universe).mode(mode).run_panel(&members);
         let v0 = panel.members[0]
             .verdict
@@ -784,10 +795,10 @@ pub fn panel_member_frontiers() {
         .with_channel(&reject),
     ];
     let solo = SweepSession::over(&universe)
-        .mode(ExecMode::Sequential)
+        .mode(ExecMode::Parallel(1))
         .run(&SoundnessCheck { decoder: &accept });
     assert_eq!(solo.checked, 1, "item 0 (all-zero) is unanimously accepted");
-    for mode in [ExecMode::Sequential, ExecMode::Parallel(2)] {
+    for mode in [ExecMode::Parallel(1), ExecMode::Parallel(2)] {
         let panel = SweepSession::over(&universe).mode(mode).run_panel(&members);
         assert!(
             panel.members[0].short_circuited,
@@ -910,7 +921,7 @@ fn orbit_partition_weighted() {
         Universe::all_labelings_of(instance, bits(), Coverage::Exhaustive).expect("2^5 fits");
 
     let report = SweepSession::over(&universe)
-        .mode(ExecMode::Sequential)
+        .mode(ExecMode::Parallel(1))
         .opts(SweepOpts::quotient())
         .run(&Recorder);
     assert_eq!(
@@ -981,11 +992,11 @@ fn orbit_partition_weighted() {
         decoder: &LocalDiff,
     };
     let full = SweepSession::over(&universe)
-        .mode(ExecMode::Sequential)
+        .mode(ExecMode::Parallel(1))
         .opts(SweepOpts::default())
         .run(&check);
     let quot = SweepSession::over(&universe)
-        .mode(ExecMode::Sequential)
+        .mode(ExecMode::Parallel(1))
         .opts(SweepOpts::quotient())
         .run(&check);
     assert_eq!(
@@ -1036,7 +1047,7 @@ fn telemetry_quotient_partition() {
 
     let recorder = MetricsRecorder::new();
     let report = SweepSession::over(&universe)
-        .mode(ExecMode::Sequential)
+        .mode(ExecMode::Parallel(1))
         .opts(SweepOpts::quotient())
         .recorder(&recorder)
         .run(&OrbitProbe);
@@ -1081,7 +1092,7 @@ fn telemetry_span_balance() {
         decoder: &LocalDiff,
     };
     SweepSession::over(&universe)
-        .mode(ExecMode::Sequential)
+        .mode(ExecMode::Parallel(1))
         .recorder(&recorder)
         .run(&check);
     assert!(

@@ -22,8 +22,8 @@ use hiding_lcp_core::properties::soundness::{SoundnessCheck, SoundnessViolation}
 use hiding_lcp_core::properties::strong::{StrongCheck, StrongViolation};
 use hiding_lcp_core::prover::Prover;
 use hiding_lcp_core::verify::{
-    Coverage, DynPropertyCheck, ExecMode, LazySweep, PropertyTag, SweepBudget, SweepOpts,
-    SweepSession, Universe, VerificationReport,
+    merge_panel_fragments, Coverage, DynPropertyCheck, ExecMode, LazySweep, PropertyTag,
+    SweepBudget, SweepOpts, SweepSession, Universe, VerificationReport,
 };
 use hiding_lcp_graph::algo::bipartite;
 use hiding_lcp_graph::{generators, IdAssignment};
@@ -31,7 +31,7 @@ use proptest::prelude::*;
 
 /// The execution modes every differential comparison runs under.
 fn modes() -> [ExecMode; 2] {
-    [ExecMode::Sequential, ExecMode::Parallel(parity_threads())]
+    [ExecMode::Parallel(1), ExecMode::Parallel(parity_threads())]
 }
 
 /// All three sweep strategies, freshly constructed.
@@ -48,7 +48,7 @@ fn strategies() -> [SweepOpts; 3] {
 fn assert_all_runs_match<C, V>(check: &C, universe: &Universe, expected: &V, what: &str)
 where
     C: hiding_lcp_core::verify::PropertyCheck<Verdict = V>,
-    C::Partial: Clone + 'static,
+    C::Partial: 'static,
     V: PartialEq + std::fmt::Debug + Send + 'static,
 {
     for mode in modes() {
@@ -737,7 +737,7 @@ proptest! {
                     .opts(opts)
                     .run_panel(&members);
                 let solo = SweepSession::over(&universe)
-                    .mode(ExecMode::Sequential)
+                    .mode(ExecMode::Parallel(1))
                     .opts(opts);
                 let solo_sound1 = solo.run(&sound1);
                 let solo_strong1 = solo.run(&strong1);
@@ -771,8 +771,8 @@ proptest! {
         }
     }
 
-    /// A budget-sliced panel chain, resumed to completion, reproduces the
-    /// uninterrupted panel bit-for-bit — per member and per channel — in
+    /// A budget-sliced panel fragment chain, resumed to completion and
+    /// merged, reproduces the uninterrupted panel bit-for-bit — per member and per channel — in
     /// every mode, under both strategies.
     #[test]
     fn budgeted_panel_resume_round_trip(c1 in 0u8..64, c2 in 0u8..64, step in 1usize..17) {
@@ -792,14 +792,15 @@ proptest! {
                     .mode(mode)
                     .budget(budget)
                     .opts(opts);
-                let mut state = session.run_panel_budgeted(&members);
+                let mut fragment = session.run_panel_fragment(&members);
                 let mut slices = 1usize;
-                while let Some(token) = state.resume.take() {
-                    state = session.resume_panel(&members, token);
+                while !fragment.is_complete() {
+                    fragment = session.resume_panel_fragment(&members, fragment);
                     slices += 1;
                     prop_assert!(slices <= universe.len() + 2, "resume chain must terminate");
                 }
-                let resumed = state.report;
+                let resumed = merge_panel_fragments(&members, &universe, mode, vec![fragment], None)
+                    .expect("a complete chain tiles the universe");
                 prop_assert_eq!(whole.evidence.checked, resumed.evidence.checked);
                 prop_assert_eq!(whole.evidence.short_circuited, resumed.evidence.short_circuited);
                 prop_assert!(!resumed.evidence.interrupted);

@@ -21,7 +21,7 @@ use hiding_lcp_graph::generators;
 use proptest::prelude::*;
 
 fn modes() -> [ExecMode; 2] {
-    [ExecMode::Sequential, ExecMode::Parallel(parity_threads())]
+    [ExecMode::Parallel(1), ExecMode::Parallel(parity_threads())]
 }
 
 fn strategies() -> [SweepOpts; 2] {

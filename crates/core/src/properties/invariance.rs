@@ -1,7 +1,7 @@
 //! Empirical anonymity and order-invariance checks (paper, Section 2.2).
 //!
 //! Because the runtime canonicalizes views to the decoder's declared
-//! [`IdMode`](crate::view::IdMode), a decoder *cannot* depend on more
+//! [`IdMode`], a decoder *cannot* depend on more
 //! identifier information than declared. These checks run the other
 //! direction: they certify that a decoder's observable behavior on a given
 //! instance really is invariant under identifier permutations
@@ -286,23 +286,81 @@ mod tests {
         assert!(violation.node < 4);
     }
 
+    /// Accepts everything and sees no identifiers.
+    struct ConstAccept;
+    impl Decoder for ConstAccept {
+        fn name(&self) -> String {
+            "const".into()
+        }
+        fn radius(&self) -> usize {
+            1
+        }
+        fn id_mode(&self) -> IdMode {
+            IdMode::Anonymous
+        }
+        fn decide(&self, _view: &View) -> Verdict {
+            Verdict::Accept
+        }
+    }
+
+    type Checker = fn(
+        &(dyn Decoder + 'static),
+        &Instance,
+        &Labeling,
+        usize,
+        &mut StdRng,
+    ) -> Result<(), InvarianceViolation>;
+
+    /// Replays `draw` (one variant's ids, from the canonical ids in rank
+    /// order) on a reference stream: `check` on a 4-path must leave its
+    /// RNG exactly ten variants on when all ten pass, and one variant on
+    /// when the first already flips the parity of an id, which `EvenId`
+    /// reads.
+    fn assert_draws_once_per_variant(
+        check: Checker,
+        seed: u64,
+        draw: impl Fn(&[u64], &mut StdRng) -> Vec<u64>,
+    ) {
+        use rand::RngCore;
+        let inst = Instance::canonical(generators::path(4));
+        let ids = inst.ids().as_slice();
+        let parities = |ids: &[u64]| ids.iter().map(|id| id % 2).collect::<Vec<_>>();
+        for (decoder, drawn) in [(&ConstAccept as &dyn Decoder, 10), (&EvenId, 1)] {
+            let mut used = StdRng::seed_from_u64(seed);
+            let verdict = check(decoder, &inst, &Labeling::empty(4), 10, &mut used);
+            assert_eq!(verdict.is_ok(), drawn == 10);
+            let mut reference = StdRng::seed_from_u64(seed);
+            let first = draw(ids, &mut reference);
+            (1..drawn).for_each(|_| drop(draw(ids, &mut reference)));
+            assert!(drawn == 10 || parities(&first) != parities(ids));
+            assert_eq!(used.next_u64(), reference.next_u64(), "{drawn} drawn");
+        }
+    }
+
+    #[test]
+    fn anonymity_draws_advance_once_per_variant_checked() {
+        assert_draws_once_per_variant(check_anonymous, 12, |ids, rng| {
+            let mut perm = ids.to_vec();
+            perm.shuffle(rng);
+            perm
+        });
+    }
+
+    #[test]
+    fn order_invariance_draws_advance_once_per_variant_checked() {
+        // An increasing image: strictly positive random gaps in rank order.
+        assert_draws_once_per_variant(check_order_invariant, 11, |ids, rng| {
+            ids.iter()
+                .scan(0, |next, _| {
+                    *next += rng.random_range(1..=3u64);
+                    Some(*next)
+                })
+                .collect()
+        });
+    }
+
     #[test]
     fn anonymous_decoders_pass_by_construction() {
-        struct ConstAccept;
-        impl Decoder for ConstAccept {
-            fn name(&self) -> String {
-                "const".into()
-            }
-            fn radius(&self) -> usize {
-                1
-            }
-            fn id_mode(&self) -> IdMode {
-                IdMode::Anonymous
-            }
-            fn decide(&self, _view: &View) -> Verdict {
-                Verdict::Accept
-            }
-        }
         let inst = Instance::canonical(generators::cycle(5));
         let labeling = Labeling::empty(5);
         let mut rng = StdRng::seed_from_u64(3);

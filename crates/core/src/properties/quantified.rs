@@ -22,8 +22,7 @@ use crate::decoder::{Decoder, Verdict};
 use crate::instance::LabeledInstance;
 use crate::nbhd::{NbhdGraph, NbhdScan, NbhdSweep};
 use crate::verify::{
-    DynPropertyCheck, ItemCtx, PropertyCheck, PropertyTag, SweepOutcome, SweepSession, Universe,
-    UniverseItem, VerificationReport,
+    DynPropertyCheck, ItemCtx, PropertyCheck, PropertyTag, SweepOutcome, Universe, UniverseItem,
 };
 use crate::view::IdMode;
 use hiding_lcp_graph::algo::{bipartite, coloring, components};
@@ -212,29 +211,13 @@ pub(crate) fn quantified_line(nbhd: &NbhdGraph, map: &ExtractabilityMap) -> (Opt
     )
 }
 
-/// Builds `V(D, ·)` over `universe` on the engine and classifies its views
-/// by extractability, returning both with the sweep's execution evidence.
-///
-/// Runs on [`SweepSession::run`], itself a one-member panel walk.
-pub fn verify_extractability<D, F>(
-    decoder: &D,
-    universe: &Universe,
-    k: usize,
-    is_yes: F,
-) -> VerificationReport<(NbhdGraph, ExtractabilityMap)>
-where
-    D: Decoder + ?Sized,
-    F: Fn(&Graph) -> bool,
-{
-    SweepSession::over(universe).run(&QuantifiedCheck::new(decoder, universe, k, is_yes))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decoder::{Decoder, Verdict};
     use crate::instance::Instance;
     use crate::label::{Certificate, Labeling};
+    use crate::verify::SweepSession;
     use crate::view::{IdMode, View};
     use hiding_lcp_graph::generators;
 
@@ -319,8 +302,8 @@ mod tests {
         let li = two_colored_cycle(6);
         let universe = Universe::from_labeled(vec![li.clone()], crate::verify::Coverage::Sampled)
             .expect("one labeled instance fits");
-        let (nbhd, map) =
-            verify_extractability(&LocalDiff, &universe, 2, bipartite::is_bipartite).verdict;
+        let check = QuantifiedCheck::new(&LocalDiff, &universe, 2, bipartite::is_bipartite);
+        let (nbhd, map) = SweepSession::over(&universe).run(&check).verdict;
         let manual = NbhdGraph::build(&LocalDiff, IdMode::Anonymous, vec![li.clone()], |g| {
             bipartite::is_bipartite(g)
         });

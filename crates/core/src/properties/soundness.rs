@@ -3,20 +3,18 @@
 //!
 //! The search over labelings runs on the [`crate::verify`] engine:
 //! [`SoundnessCheck`] is the [`PropertyCheck`] (a short-circuiting hunt for
-//! a unanimously accepted labeling), and the `check_soundness_*` functions
-//! below are thin constructors of the matching [`Universe`].
+//! a unanimously accepted labeling), and [`check_soundness_exhaustive`] is
+//! a thin constructor of the matching [`Universe`].
 
 use crate::decoder::{Decoder, Verdict};
 use crate::instance::Instance;
 use crate::label::{Certificate, Labeling};
-use crate::prover::{all_labelings, random_labeling};
+use crate::prover::all_labelings;
 use crate::verify::{
-    Coverage, DynPropertyCheck, ExecMode, ItemCtx, LazySweep, PropertyCheck, PropertyTag,
-    SweepBudget, SweepOutcome, SweepSession, SymmetrySpec, Universe, UniverseItem,
-    VerificationReport,
+    Coverage, DynPropertyCheck, ItemCtx, LazySweep, PropertyCheck, PropertyTag, SweepOutcome,
+    SweepSession, SymmetrySpec, Universe, UniverseItem,
 };
 use crate::view::IdMode;
-use rand::Rng;
 
 /// A soundness violation: a labeling of a no-instance accepted by every
 /// node.
@@ -138,82 +136,11 @@ pub fn check_soundness_exhaustive<D: Decoder + ?Sized>(
     }
 }
 
-/// [`check_soundness_exhaustive`] with explicit execution control: the
-/// sweep runs in `mode` under `budget`, and the full
-/// [`VerificationReport`] is returned so callers can see the achieved
-/// coverage, interruption status and any caught inspection panics. An
-/// exhausted budget yields a partial verdict with
-/// [`Coverage::Sampled`] — explicitly *not* a proof of soundness.
-///
-/// Runs on [`SweepSession::run`], itself a one-member panel walk.
-pub fn check_soundness_exhaustive_with<D: Decoder + ?Sized>(
-    decoder: &D,
-    instance: &Instance,
-    alphabet: &[Certificate],
-    mode: ExecMode,
-    budget: &SweepBudget,
-) -> VerificationReport<Result<usize, SoundnessViolation>> {
-    match Universe::all_labelings_of(instance.clone(), alphabet.to_vec(), Coverage::Exhaustive) {
-        Ok(universe) => SweepSession::over(&universe)
-            .mode(mode)
-            .budget(*budget)
-            .run(&SoundnessCheck { decoder }),
-        // |alphabet|^n overflows the flat index space; iterate lazily
-        // instead (necessarily sequential, still budgeted).
-        Err(_) => LazySweep::of(instance, Coverage::Exhaustive)
-            .budget(*budget)
-            .run(
-                &SoundnessCheck { decoder },
-                all_labelings(instance.graph().node_count(), alphabet),
-            ),
-    }
-}
-
-/// Randomized soundness check: up to `samples` uniformly random labelings
-/// over `alphabet`.
-///
-/// Labelings are drawn from `rng` one at a time and drawing stops at the
-/// first violation, so the RNG advances exactly once per labeling actually
-/// checked — the same stream a caller observed from the pre-engine loop.
-///
-/// # Panics
-///
-/// Panics if `alphabet` is empty.
-pub fn check_soundness_random<D: Decoder + ?Sized, R: Rng + ?Sized>(
-    decoder: &D,
-    instance: &Instance,
-    alphabet: &[Certificate],
-    samples: usize,
-    rng: &mut R,
-) -> Result<usize, SoundnessViolation> {
-    let n = instance.graph().node_count();
-    LazySweep::of(instance, Coverage::Sampled)
-        .run(
-            &SoundnessCheck { decoder },
-            (0..samples).map(|_| random_labeling(n, alphabet, rng)),
-        )
-        .verdict
-}
-
-/// Checks a batch of explicit labelings (e.g. structured adversaries from
-/// `hiding-lcp-certs`).
-pub fn check_soundness_labelings<'a, D: Decoder + ?Sized>(
-    decoder: &D,
-    instance: &Instance,
-    labelings: impl IntoIterator<Item = &'a Labeling>,
-) -> Result<usize, SoundnessViolation> {
-    let labelings: Vec<Labeling> = labelings.into_iter().cloned().collect();
-    let universe = Universe::labelings_of(instance.clone(), labelings, Coverage::Sampled)
-        .expect("materialized labelings fit usize");
-    SweepSession::over(&universe)
-        .run(&SoundnessCheck { decoder })
-        .verdict
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decoder::Verdict;
+    use crate::prover::random_labeling;
     use crate::view::{IdMode, View};
     use hiding_lcp_graph::generators;
     use rand::rngs::StdRng;
@@ -294,8 +221,16 @@ mod tests {
     fn randomized_check_finds_easy_violations() {
         let c3 = Instance::canonical(generators::cycle(3));
         let mut rng = StdRng::seed_from_u64(3);
-        assert!(check_soundness_random(&YesMan, &c3, &bits(), 10, &mut rng).is_err());
-        assert!(check_soundness_random(&LocalDiff, &c3, &bits(), 50, &mut rng).is_ok());
+        let mut random = |decoder: &dyn Decoder, samples: usize| {
+            LazySweep::of(&c3, Coverage::Sampled)
+                .run(
+                    &SoundnessCheck { decoder },
+                    (0..samples).map(|_| random_labeling(3, &bits(), &mut rng)),
+                )
+                .verdict
+        };
+        assert!(random(&YesMan, 10).is_err());
+        assert!(random(&LocalDiff, 50).is_ok());
     }
 
     #[test]
@@ -311,51 +246,16 @@ mod tests {
     }
 
     #[test]
-    fn random_check_draws_stop_at_first_violation() {
-        use rand::RngCore;
-        let c3 = Instance::canonical(generators::cycle(3));
-        let mut used = StdRng::seed_from_u64(7);
-        check_soundness_random(&YesMan, &c3, &bits(), 10, &mut used)
-            .expect_err("violation at the first sample");
-        // The RNG advanced by exactly one drawn labeling, not ten — the
-        // pre-engine stream.
-        let mut reference = StdRng::seed_from_u64(7);
-        let _ = random_labeling(3, &bits(), &mut reference);
-        assert_eq!(used.next_u64(), reference.next_u64());
-    }
-
-    #[test]
-    fn budgeted_soundness_check_degrades_explicitly() {
-        let c5 = Instance::canonical(generators::cycle(5));
-        // Unlimited budget: full exhaustive verdict with full coverage.
-        let full = check_soundness_exhaustive_with(
-            &LocalDiff,
-            &c5,
-            &bits(),
-            ExecMode::Sequential,
-            &SweepBudget::unlimited(),
-        );
-        assert_eq!(full.verdict, Ok(32));
-        assert_eq!(full.coverage, Coverage::Exhaustive);
-        assert!(!full.interrupted);
-        // A 10-item budget interrupts: partial verdict, sampled coverage.
-        let partial = check_soundness_exhaustive_with(
-            &LocalDiff,
-            &c5,
-            &bits(),
-            ExecMode::Sequential,
-            &SweepBudget::unlimited().with_max_items(10),
-        );
-        assert_eq!(partial.verdict, Ok(10));
-        assert_eq!(partial.coverage, Coverage::Sampled);
-        assert!(partial.interrupted);
-    }
-
-    #[test]
     fn explicit_labelings_check() {
         let c3 = Instance::canonical(generators::cycle(3));
-        let ls = [Labeling::uniform(3, Certificate::from_byte(0))];
-        assert_eq!(check_soundness_labelings(&LocalDiff, &c3, ls.iter()), Ok(1));
-        assert!(check_soundness_labelings(&YesMan, &c3, ls.iter()).is_err());
+        let ls = vec![Labeling::uniform(3, Certificate::from_byte(0))];
+        let universe = Universe::labelings_of(c3, ls, Coverage::Sampled).unwrap();
+        let run = |decoder: &dyn Decoder| {
+            SweepSession::over(&universe)
+                .run(&SoundnessCheck { decoder })
+                .verdict
+        };
+        assert_eq!(run(&LocalDiff), Ok(1));
+        assert!(run(&YesMan).is_err());
     }
 }

@@ -11,9 +11,8 @@ use crate::label::{Certificate, Labeling};
 use crate::language::KCol;
 use crate::prover::{all_labelings, random_labeling};
 use crate::verify::{
-    Coverage, DynPropertyCheck, ExecMode, ItemCtx, LazySweep, PropertyCheck, PropertyTag,
-    SweepBudget, SweepOutcome, SweepSession, SymmetrySpec, Universe, UniverseItem,
-    VerificationReport,
+    Coverage, DynPropertyCheck, ItemCtx, LazySweep, PropertyCheck, PropertyTag, SweepOutcome,
+    SweepSession, SymmetrySpec, Universe, UniverseItem,
 };
 use crate::view::IdMode;
 use rand::Rng;
@@ -202,38 +201,6 @@ pub fn check_strong_exhaustive<D: Decoder + ?Sized>(
     }
 }
 
-/// [`check_strong_exhaustive`] with explicit execution control: the sweep
-/// runs in `mode` under `budget`, and the full [`VerificationReport`] is
-/// returned so callers can see the achieved coverage, interruption status
-/// and any caught inspection panics. An exhausted budget yields a partial
-/// verdict with [`Coverage::Sampled`] — explicitly *not* a proof of
-/// strong soundness.
-///
-/// Runs on [`SweepSession::run`], itself a one-member panel walk.
-pub fn check_strong_exhaustive_with<D: Decoder + ?Sized>(
-    decoder: &D,
-    language: &KCol,
-    instance: &Instance,
-    alphabet: &[Certificate],
-    mode: ExecMode,
-    budget: &SweepBudget,
-) -> VerificationReport<Result<usize, StrongViolation>> {
-    match Universe::all_labelings_of(instance.clone(), alphabet.to_vec(), Coverage::Exhaustive) {
-        Ok(universe) => SweepSession::over(&universe)
-            .mode(mode)
-            .budget(*budget)
-            .run(&StrongCheck { decoder, language }),
-        // |alphabet|^n overflows the flat index space; iterate lazily
-        // instead (necessarily sequential, still budgeted).
-        Err(_) => LazySweep::of(instance, Coverage::Exhaustive)
-            .budget(*budget)
-            .run(
-                &StrongCheck { decoder, language },
-                all_labelings(instance.graph().node_count(), alphabet),
-            ),
-    }
-}
-
 /// Randomized strong-soundness check over up to `samples` random
 /// labelings.
 ///
@@ -261,27 +228,14 @@ pub fn check_strong_random<D: Decoder + ?Sized, R: Rng + ?Sized>(
         .verdict
 }
 
-/// Checks a batch of explicit labelings.
-pub fn check_strong_labelings<'a, D: Decoder + ?Sized>(
-    decoder: &D,
-    language: &KCol,
-    instance: &Instance,
-    labelings: impl IntoIterator<Item = &'a Labeling>,
-) -> Result<usize, StrongViolation> {
-    let labelings: Vec<Labeling> = labelings.into_iter().cloned().collect();
-    let universe = Universe::labelings_of(instance.clone(), labelings, Coverage::Sampled)
-        .expect("materialized labelings fit usize");
-    SweepSession::over(&universe)
-        .run(&StrongCheck { decoder, language })
-        .verdict
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decoder::Verdict;
     use crate::view::{IdMode, View};
     use hiding_lcp_graph::generators;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
 
     /// Accepts iff the node's certificate differs from all neighbors'.
     struct LocalDiff;
@@ -351,30 +305,17 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_strong_check_degrades_explicitly() {
+    fn random_check_draws_stop_at_first_violation() {
         let two_col = KCol::new(2);
-        let c5 = Instance::canonical(generators::cycle(5));
-        let full = check_strong_exhaustive_with(
-            &LocalDiff,
-            &two_col,
-            &c5,
-            &bits(),
-            ExecMode::Sequential,
-            &SweepBudget::unlimited(),
-        );
-        assert_eq!(full.verdict, Ok(32));
-        assert_eq!(full.coverage, Coverage::Exhaustive);
-        let partial = check_strong_exhaustive_with(
-            &LocalDiff,
-            &two_col,
-            &c5,
-            &bits(),
-            ExecMode::Sequential,
-            &SweepBudget::unlimited().with_max_items(8),
-        );
-        assert_eq!(partial.verdict, Ok(8));
-        assert_eq!(partial.coverage, Coverage::Sampled);
-        assert!(partial.interrupted);
+        let c3 = Instance::canonical(generators::cycle(3));
+        let mut used = StdRng::seed_from_u64(7);
+        check_strong_random(&YesMan, &two_col, &c3, &bits(), 10, &mut used)
+            .expect_err("violation at the first sample");
+        // The RNG advanced by exactly one drawn labeling, not ten — the
+        // pre-engine stream.
+        let mut reference = StdRng::seed_from_u64(7);
+        let _ = random_labeling(3, &bits(), &mut reference);
+        assert_eq!(used.next_u64(), reference.next_u64());
     }
 
     #[test]

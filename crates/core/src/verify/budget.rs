@@ -16,16 +16,17 @@
 //!   `interrupted` report (again [`super::Coverage::Sampled`] — an
 //!   interrupted `Exhaustive` sweep proves nothing universal) instead of
 //!   running unbounded.
-//! * [`PanelFragment`] — the one walk state: a range `[lo, hi)`, the next
-//!   unvisited index, and each member's partials, errors and stop index.
-//!   It is both a shard's merge input and an interrupted run's
-//!   continuation. Because inspection is pure and the visited set is
-//!   always the contiguous prefix `[lo, next)`, feeding the fragment back
-//!   into [`super::SweepSession::resume`] (or
-//!   [`resume_panel`](super::SweepSession::resume_panel)) and letting it
-//!   finish yields the *same verdict, partials and checked count* as one
+//! * [`PanelFragment`] — the one walk state and the only continuation: a
+//!   range `[lo, hi)`, the next unvisited index, and each member's
+//!   partials, errors and stop index. It is both a shard's merge input and
+//!   an interrupted walk's resume point. Because inspection is pure and
+//!   the visited set is always the contiguous prefix `[lo, next)`, walking
+//!   a fragment with [`super::SweepSession::run_panel_fragment`], feeding
+//!   it back into [`super::SweepSession::resume_panel_fragment`] until it
+//!   is complete and reducing it with [`super::merge_panel_fragments`]
+//!   yields the *same verdict, partials and checked count* as one
 //!   uninterrupted sweep — bit-identical resume, asserted by the engine
-//!   parity suite. A typed sweep's continuation is a one-member fragment.
+//!   parity suite. A single check resumes as a one-member panel.
 
 use std::any::Any;
 use std::time::Duration;
@@ -133,27 +134,11 @@ impl SweepBudget {
     }
 }
 
-/// A budgeted sweep's result: the (possibly partial) report — a typed
-/// [`super::VerificationReport`] or a [`super::PanelReport`] — plus the
-/// continuation when the budget interrupted the walk.
-pub struct BudgetedSweep<R> {
-    /// The report. When it is flagged `interrupted`, verdicts cover only
-    /// the visited prefix and coverage is [`super::Coverage::Sampled`].
-    pub report: R,
-    /// `Some` exactly when the budget stopped the walk inside its range:
-    /// the [`PanelFragment`] walked so far. Feed it to
-    /// [`super::SweepSession::resume`] (typed) or
-    /// [`super::SweepSession::resume_panel`] to continue.
-    pub resume: Option<PanelFragment>,
-}
-
 /// The un-reduced state of a panel walk over the contiguous index range
 /// `[lo, hi)`: the one walk-state type. A fresh walk starts from an empty
-/// fragment; a budget-interrupted run hands back the fragment walked so
-/// far as its continuation
-/// ([`SweepSession::resume_panel_fragment`](super::SweepSession::resume_panel_fragment),
-/// [`SweepSession::resume_panel`](super::SweepSession::resume_panel)); a
-/// shard ships its complete fragment to
+/// fragment; a budget-interrupted fragment walk continues with
+/// [`SweepSession::resume_panel_fragment`](super::SweepSession::resume_panel_fragment);
+/// a complete fragment (or a shard's) reduces with
 /// [`merge_panel_fragments`](super::merge_panel_fragments).
 ///
 /// The visited set is always the contiguous prefix `[lo, next)` and each
@@ -200,7 +185,7 @@ pub struct MemberFrontier {
     /// resume and reports `checked = s + 1`), `None` while still active.
     pub stop_at: Option<usize>,
     /// Partials the member recorded in `[lo, next)`, sorted by index,
-    /// type-erased (clones of the member's concrete partials).
+    /// type-erased.
     pub partials: Vec<(usize, super::erased::ErasedPartial)>,
     /// Errors the member recorded in `[lo, next)`, sorted by index.
     pub errors: Vec<SweepError>,

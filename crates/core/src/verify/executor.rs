@@ -43,7 +43,7 @@
 //! equal protos additionally share a *class id* (assigned in build order,
 //! hence deterministic), the anchor of every digit-key memo.
 
-use super::budget::{SweepBudget, SweepError};
+use super::budget::SweepError;
 use super::check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
 use super::interner::digit_key;
 use super::telemetry::WorkerTally;
@@ -65,12 +65,11 @@ pub enum ExecMode {
     /// As many workers as the machine has cores when the universe is
     /// large enough to amortize thread startup; one worker otherwise.
     Auto,
-    /// One worker, the calling thread, claiming chunks in index order.
-    Sequential,
-    /// Exactly this many workers (values ≤ 1 mean one). Below [the
-    /// small-universe threshold](PARALLEL_THRESHOLD) this also runs one
-    /// worker: thread startup dominates such sweeps, and the determinism
-    /// contract makes the fallback observationally invisible.
+    /// Exactly this many workers (values ≤ 1 mean one: `Parallel(1)` is
+    /// the calling thread alone, claiming chunks in index order). Below
+    /// [the small-universe threshold](PARALLEL_THRESHOLD) this also runs
+    /// one worker: thread startup dominates such sweeps, and the
+    /// determinism contract makes the fallback observationally invisible.
     Parallel(usize),
 }
 
@@ -345,9 +344,9 @@ pub(super) fn single_instance(instance: Instance, coverage: Coverage) -> Univers
 }
 
 /// The engine behind [`LazySweep`](super::LazySweep): draws items one at a
-/// time and stops pulling at the first short-circuit or budget expiry, so
-/// a stateful source advances exactly `checked` times and memory stays
-/// `O(1)` in the stream length.
+/// time and stops pulling at the first short-circuit, so a stateful
+/// source advances exactly `checked` times and memory stays `O(1)` in the
+/// stream length.
 ///
 /// `draw` turns a source item into its labeling plus, when the item
 /// brings its own instance, a one-block universe for it (whose skeleton
@@ -361,11 +360,9 @@ pub(super) fn run_lazy<C: PropertyCheck, T>(
     check: &C,
     universe: &Universe,
     items: impl IntoIterator<Item = T>,
-    budget: &SweepBudget,
     mut draw: impl FnMut(T) -> (Labeling, Option<Universe>),
 ) -> VerificationReport<C::Verdict> {
     let start = Instant::now();
-    let deadline = budget.deadline.map(|d| start + d);
     let configs = check.view_configs();
     let shared = SkeletonCache::build(universe, configs.clone());
     let hits = AtomicUsize::new(0);
@@ -374,14 +371,7 @@ pub(super) fn run_lazy<C: PropertyCheck, T>(
     let mut errors = Vec::new();
     let mut checked = 0usize;
     let mut short_circuited = false;
-    let mut interrupted = false;
     for source in items {
-        if budget.max_items.is_some_and(|m| checked >= m)
-            || deadline.is_some_and(|d| Instant::now() >= d)
-        {
-            interrupted = true;
-            break;
-        }
         let (labeling, own) = draw(source);
         let own = own.map(|u| {
             let cache = SkeletonCache::build(&u, configs.clone());
@@ -414,7 +404,7 @@ pub(super) fn run_lazy<C: PropertyCheck, T>(
             Err(payload) => errors.push(SweepError::from_panic(item.index, payload)),
         }
     }
-    let coverage = if interrupted || !errors.is_empty() {
+    let coverage = if !errors.is_empty() {
         Coverage::Sampled
     } else {
         universe.coverage()
@@ -431,7 +421,7 @@ pub(super) fn run_lazy<C: PropertyCheck, T>(
             checked,
             universe_size: checked,
             short_circuited,
-            interrupted,
+            interrupted: false,
             coverage,
             errors,
             cache_hits: hits.load(Ordering::Relaxed),
@@ -450,7 +440,6 @@ pub(super) fn resolve_threads(mode: ExecMode, items: usize) -> usize {
         return 1;
     }
     match mode {
-        ExecMode::Sequential => 1,
         ExecMode::Parallel(t) => t.max(1),
         ExecMode::Auto => std::thread::available_parallelism()
             .map(|p| p.get().min(items))

@@ -18,9 +18,8 @@
 //!   builder carrying execution mode, strategy options ([`SweepOpts`]),
 //!   budget, telemetry recorder and shard, fired with
 //!   [`run`](SweepSession::run) / [`run_panel`](SweepSession::run_panel)
-//!   and friends — sequentially or on worker threads
-//!   ([`ExecMode`]) — with bit-identical verdicts,
-//!   witnesses and counts in either mode, and a shared
+//!   on one or more workers ([`ExecMode`]) — with bit-identical verdicts,
+//!   witnesses and counts at every worker count, and a shared
 //!   [`crate::view::ViewSkeleton`] cache so each node's view is
 //!   canonicalized once per block instead of once per labeling
 //!   ([`LazySweep`] is the streaming counterpart for iterator sources);
@@ -31,10 +30,13 @@
 //!   structured [`SweepError`] naming the item instead of poisoning the
 //!   sweep, a [`SweepBudget`] bounds a call by wall-clock deadline
 //!   and/or item count (degrading the report to an explicit
-//!   [`Coverage::Sampled`] partial verdict), and
-//!   [`resume`](SweepSession::resume) continues the [`PanelFragment`] an
-//!   interrupted run walked so far, such that the chain reproduces the
-//!   uninterrupted report bit-for-bit;
+//!   [`Coverage::Sampled`] partial verdict), and a [`PanelFragment`] is
+//!   the only continuation:
+//!   [`resume_panel_fragment`](SweepSession::resume_panel_fragment)
+//!   continues the fragment an interrupted
+//!   [`run_panel_fragment`](SweepSession::run_panel_fragment) walked so
+//!   far, and [`merge_panel_fragments`] reduces the finished chain into
+//!   the uninterrupted report bit-for-bit;
 //! * there is one walk, a chunk-claiming loop on any number of workers
 //!   ([`SweepSession::run_panel`]), running type-erased
 //!   [`DynPropertyCheck`] members; a typed [`SweepSession::run`] is a
@@ -74,7 +76,7 @@ mod symmetry;
 pub mod telemetry;
 pub mod universe;
 
-pub use budget::{BudgetedSweep, MemberFrontier, PanelFragment, SweepBudget, SweepError};
+pub use budget::{MemberFrontier, PanelFragment, SweepBudget, SweepError};
 pub use check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
 pub use erased::{DynPropertyCheck, ErasedPartial, ErasedVerdict, PanelVerdict, PropertyTag};
 pub use executor::{ExecMode, ItemCtx, SweepOpts, SweepStrategy, PARALLEL_THRESHOLD};
@@ -159,7 +161,7 @@ mod tests {
             },
         ] {
             let seq = SweepSession::over(&universe)
-                .mode(ExecMode::Sequential)
+                .mode(ExecMode::Parallel(1))
                 .run(&check);
             let par = SweepSession::over(&universe)
                 .mode(ExecMode::Parallel(4))
@@ -233,7 +235,7 @@ mod tests {
             stop_on_all_ones: false,
         };
         let report = SweepSession::over(&universe)
-            .mode(ExecMode::Sequential)
+            .mode(ExecMode::Parallel(1))
             .run(&check);
         assert!(!report.interrupted);
         assert!(report.errors.is_empty());
@@ -246,26 +248,31 @@ mod tests {
         let check = CountConstant {
             stop_on_all_ones: false,
         };
-        let session = SweepSession::over(&universe).mode(ExecMode::Sequential);
-        let first = session
-            .budget(SweepBudget::unlimited().with_max_items(10))
-            .run_budgeted(&check);
-        assert!(first.report.interrupted);
-        assert_eq!(first.report.checked, 10);
-        assert_eq!(first.report.coverage, Coverage::Sampled);
-        let continuation = first
-            .resume
-            .expect("interrupted sweep yields a continuation");
+        let session = SweepSession::over(&universe).mode(ExecMode::Parallel(1));
+        let budgeted = session.budget(SweepBudget::unlimited().with_max_items(10));
+        let first = budgeted.run(&check);
+        assert!(first.interrupted);
+        assert_eq!(first.checked, 10);
+        assert_eq!(first.coverage, Coverage::Sampled);
+        // The partial verdict reduces exactly the visited prefix: of items
+        // 0..10 only the all-zero labeling is constant.
+        assert_eq!(first.verdict, (1, None));
+        let members = lone(&check);
+        let continuation = budgeted.run_panel_fragment(&members);
+        assert!(!continuation.is_complete());
         assert_eq!(continuation.next, 10);
         // Finish with no budget: the chained result matches one
         // uninterrupted sweep exactly.
-        let rest = session.resume(&check, continuation);
-        assert!(rest.resume.is_none());
-        assert!(!rest.report.interrupted);
-        assert_eq!(rest.report.coverage, Coverage::Exhaustive);
+        let rest = session.resume_panel_fragment(&members, continuation);
+        assert!(rest.is_complete());
+        let rest = reduce_lone::<(usize, Option<usize>)>(&members, &universe, rest);
+        assert!(!rest.interrupted);
+        assert_eq!(rest.coverage, Coverage::Exhaustive);
         let full = session.run(&check);
-        assert_eq!(rest.report.verdict, full.verdict);
-        assert_eq!(rest.report.checked, full.checked);
+        assert!(!full.interrupted);
+        assert_eq!(full.coverage, Coverage::Exhaustive);
+        assert_eq!(rest.verdict, full.verdict);
+        assert_eq!(rest.checked, full.checked);
     }
 
     #[test]
@@ -274,20 +281,19 @@ mod tests {
         let check = CountConstant {
             stop_on_all_ones: true,
         };
-        let session = SweepSession::over(&universe).mode(ExecMode::Sequential);
+        let session = SweepSession::over(&universe).mode(ExecMode::Parallel(1));
         let full = session.run(&check);
+        let members = lone(&check);
         for step in [1usize, 3, 7, 32] {
             let stepped = session.budget(SweepBudget::unlimited().with_max_items(step));
-            let mut state = stepped.run_budgeted(&check);
-            while let Some(token) = state.resume.take() {
-                state = stepped.resume(&check, token);
+            let mut fragment = stepped.run_panel_fragment(&members);
+            while !fragment.is_complete() {
+                fragment = stepped.resume_panel_fragment(&members, fragment);
             }
-            assert_eq!(state.report.verdict, full.verdict, "step {step}");
-            assert_eq!(state.report.checked, full.checked, "step {step}");
-            assert_eq!(
-                state.report.short_circuited, full.short_circuited,
-                "step {step}"
-            );
+            let chained = reduce_lone::<(usize, Option<usize>)>(&members, &universe, fragment);
+            assert_eq!(chained.verdict, full.verdict, "step {step}");
+            assert_eq!(chained.checked, full.checked, "step {step}");
+            assert_eq!(chained.short_circuited, full.short_circuited, "step {step}");
         }
     }
 
@@ -324,7 +330,7 @@ mod tests {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let seq = SweepSession::over(&universe)
-            .mode(ExecMode::Sequential)
+            .mode(ExecMode::Parallel(1))
             .run(&check);
         let par = SweepSession::over(&universe)
             .mode(ExecMode::Parallel(4))
@@ -350,13 +356,14 @@ mod tests {
         let check = CountConstant {
             stop_on_all_ones: false,
         };
-        let out = SweepSession::over(&universe)
-            .mode(ExecMode::Sequential)
-            .budget(SweepBudget::unlimited().with_deadline(std::time::Duration::ZERO))
-            .run_budgeted(&check);
-        assert!(out.report.interrupted);
-        assert_eq!(out.report.checked, 0);
-        let token = out.resume.expect("continuation");
+        let session = SweepSession::over(&universe)
+            .mode(ExecMode::Parallel(1))
+            .budget(SweepBudget::unlimited().with_deadline(std::time::Duration::ZERO));
+        let report = session.run(&check);
+        assert!(report.interrupted);
+        assert_eq!(report.checked, 0);
+        let token = session.run_panel_fragment(&lone(&check));
+        assert!(!token.is_complete());
         assert_eq!(token.next, 0);
         assert!(token.members[0].partials.is_empty());
     }
@@ -391,10 +398,28 @@ mod tests {
     fn lone<C>(check: &C) -> [DynPropertyCheck<'_>; 1]
     where
         C: PropertyCheck,
-        C::Partial: Clone + 'static,
+        C::Partial: 'static,
         C::Verdict: Send + 'static,
     {
         [DynPropertyCheck::new(PropertyTag::Custom, "lone", check)]
+    }
+
+    /// Reduces a complete lone-member fragment into the report the
+    /// check's own uninterrupted sweep produces.
+    fn reduce_lone<V: std::any::Any>(
+        members: &[DynPropertyCheck<'_>],
+        universe: &Universe,
+        fragment: PanelFragment,
+    ) -> VerificationReport<V> {
+        merge_panel_fragments(
+            members,
+            universe,
+            ExecMode::Parallel(1),
+            vec![fragment],
+            None,
+        )
+        .expect("a complete fragment reduces")
+        .into_member_report(0)
     }
 
     /// The lone member's partials, recovered as the check's own type.
@@ -412,7 +437,7 @@ mod tests {
         let check = CountConstant {
             stop_on_all_ones: false,
         };
-        let session = SweepSession::over(&universe).mode(ExecMode::Sequential);
+        let session = SweepSession::over(&universe).mode(ExecMode::Parallel(1));
         let full = session.run(&check);
         let members = lone(&check);
         for of in [1usize, 2, 4] {
@@ -421,7 +446,7 @@ mod tests {
                 .map(|spec| session.shard(spec).run_panel_fragment(&members))
                 .collect();
             let merged =
-                merge_panel_fragments(&members, &universe, ExecMode::Sequential, fragments, None)
+                merge_panel_fragments(&members, &universe, ExecMode::Parallel(1), fragments, None)
                     .expect("fragments tile the universe")
                     .into_member_report::<(usize, Option<usize>)>(0);
             assert_eq!(merged.verdict, full.verdict, "{of} shards");
@@ -437,7 +462,7 @@ mod tests {
         // Stops inside shard 0; later shards walk their whole ranges and
         // find nothing, and the merge must still report the global stop.
         let check = StopAtIndex(7);
-        let session = SweepSession::over(&universe).mode(ExecMode::Sequential);
+        let session = SweepSession::over(&universe).mode(ExecMode::Parallel(1));
         let full = session.run(&check);
         assert_eq!(full.verdict, Some(7));
         assert_eq!(full.checked, 8);
@@ -451,7 +476,7 @@ mod tests {
             .iter()
             .all(|f| f.members[0].stop_at.is_none()));
         let merged =
-            merge_panel_fragments(&members, &universe, ExecMode::Sequential, fragments, None)
+            merge_panel_fragments(&members, &universe, ExecMode::Parallel(1), fragments, None)
                 .expect("fragments tile the universe")
                 .into_member_report::<Option<usize>>(0);
         assert_eq!(merged.verdict, full.verdict);
@@ -467,7 +492,7 @@ mod tests {
         };
         let members = lone(&check);
         let session = SweepSession::over(&universe)
-            .mode(ExecMode::Sequential)
+            .mode(ExecMode::Parallel(1))
             .shard(ShardSpec::new(0, 2));
         let whole = session.run_panel_fragment(&members);
         assert!(whole.is_complete());
@@ -492,10 +517,10 @@ mod tests {
             stop_on_all_ones: false,
         };
         let members = lone(&check);
-        let session = SweepSession::over(&universe).mode(ExecMode::Sequential);
+        let session = SweepSession::over(&universe).mode(ExecMode::Parallel(1));
         let frag_of = |spec: ShardSpec| session.shard(spec).run_panel_fragment(&members);
         let merge = |fragments: Vec<PanelFragment>| {
-            merge_panel_fragments(&members, &universe, ExecMode::Sequential, fragments, None)
+            merge_panel_fragments(&members, &universe, ExecMode::Parallel(1), fragments, None)
         };
         // Gap: shard 1 of 4 missing.
         let gappy: Vec<_> = [0usize, 2, 3]
@@ -530,7 +555,7 @@ mod tests {
             stop_on_all_ones: false,
         };
         let report = SweepSession::over(&universe)
-            .mode(ExecMode::Sequential)
+            .mode(ExecMode::Parallel(1))
             .shard(ShardSpec::new(0, 2))
             .run(&check);
         // One shard alone is a sample: 16 of 32 items, flagged as such.
@@ -538,15 +563,16 @@ mod tests {
         assert_eq!(report.universe_size, 32);
         assert!(report.interrupted);
         assert_eq!(report.coverage, Coverage::Sampled);
-        // And a budgeted run's continuation ends at the shard boundary.
-        let out = SweepSession::over(&universe)
-            .mode(ExecMode::Sequential)
+        // And a budgeted fragment walk ends at the shard boundary.
+        let fragment = SweepSession::over(&universe)
+            .mode(ExecMode::Parallel(1))
             .shard(ShardSpec::new(0, 2))
             .budget(SweepBudget::unlimited().with_max_items(16))
-            .run_budgeted(&check);
+            .run_panel_fragment(&lone(&check));
         assert!(
-            out.resume.is_none(),
+            fragment.is_complete(),
             "a walk that reached the shard's hi is complete"
         );
+        assert_eq!(fragment.hi, 16);
     }
 }

@@ -33,12 +33,12 @@
 //!
 //! This module holds the repository's only indexed walk loop: `threads`
 //! workers claim chunks from a shared cursor, worker 0 being the calling
-//! thread, so [`ExecMode::Sequential`], `Parallel(1)` and universes below
+//! thread, so `Parallel(1)` and universes below
 //! [`PARALLEL_THRESHOLD`](super::PARALLEL_THRESHOLD) are one worker in the
 //! same loop. A typed [`SweepSession::run`](super::SweepSession::run)
-//! (and `run_budgeted`, `resume`) wraps its check in a one-member panel
-//! and downcasts the member's verdict, so every indexed sweep — a single
-//! property, a full audit, a shard — rides the same loop.
+//! wraps its check in a one-member panel and downcasts the member's
+//! verdict, so every indexed sweep — a single property, a full audit, a
+//! shard — rides the same loop.
 //!
 //! Every item inspection runs under `catch_unwind`, so a panicking
 //! decoder becomes a [`SweepError`] naming the item, not a poisoned walk.
@@ -46,10 +46,10 @@
 //! always runs to completion, so the visited set is always the contiguous
 //! prefix `[lo, next)` of a [`PanelFragment`] — the one walk state. A walk
 //! continues a fragment and folds it; [`run_panel`] then reduces it, and
-//! an interrupted run hands the fragment back as its continuation, which
-//! the resumed chain finishes bit-for-bit (the panel differential suite
-//! asserts this). The shard merge folds and reduces fragments the same
-//! way.
+//! [`run_fragment`] hands it back unreduced, so an interrupted fragment
+//! walk can be resumed and finished bit-for-bit (the panel differential
+//! suite asserts this). The shard merge folds and reduces fragments the
+//! same way.
 //!
 //! # Determinism
 //!
@@ -64,7 +64,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use super::budget::{BudgetedSweep, MemberFrontier, PanelFragment, SweepBudget, SweepError};
+use super::budget::{MemberFrontier, PanelFragment, SweepBudget, SweepError};
 use super::check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
 use super::erased::{DynPropertyCheck, ErasedPartial, PanelVerdict, PropertyTag};
 use super::executor::{
@@ -325,8 +325,9 @@ impl PanelEngine<'_> {
 }
 
 /// Runs one panel call: walks `fragment` onward under `budget`, then
-/// reduces every member. The shared engine behind every whole-universe
-/// entry point of [`SweepSession`](super::SweepSession), typed or panel.
+/// reduces every member, whether or not the budget stopped the walk. The
+/// shared engine behind [`SweepSession::run`](super::SweepSession::run)
+/// and [`SweepSession::run_panel`](super::SweepSession::run_panel).
 /// `recorder` attaches telemetry (the audit plan passes one through here
 /// to keep budgets and recording composable); phase timings use the
 /// recorder's clock.
@@ -338,31 +339,12 @@ pub(super) fn run_panel(
     fragment: PanelFragment,
     opts: SweepOpts,
     recorder: Option<&dyn SweepRecorder>,
-) -> BudgetedSweep<PanelReport> {
+) -> PanelReport {
     let start = Instant::now();
     if let Some(r) = recorder {
         r.span_enter("panel");
     }
     let (fragment, stats) = walk(checks, universe, mode, budget, fragment, opts, recorder);
-    let resume = (!fragment.is_complete()).then(|| PanelFragment {
-        lo: fragment.lo,
-        hi: fragment.hi,
-        next: fragment.next,
-        members: fragment
-            .members
-            .iter()
-            .zip(checks)
-            .map(|(f, check)| MemberFrontier {
-                stop_at: f.stop_at,
-                partials: f
-                    .partials
-                    .iter()
-                    .map(|(i, p)| (*i, check.clone_partial(p)))
-                    .collect(),
-                errors: f.errors.clone(),
-            })
-            .collect(),
-    });
     // A walk that ends before the universe does — a budget stop, or a
     // shard range short of `n` — covers a sample of the universe.
     let all_stopped = fragment.members.iter().all(|f| f.stop_at.is_some());
@@ -380,7 +362,7 @@ pub(super) fn run_panel(
     if let Some(r) = recorder {
         r.span_exit("panel");
     }
-    BudgetedSweep { report, resume }
+    report
 }
 
 /// Walks `fragment` onward under `budget` without reducing: the

@@ -517,11 +517,14 @@ pub struct AuditPlan<'a> {
     budget: Option<SweepBudget>,
     telemetry: Option<&'a MetricsRecorder>,
     fault_plan: Option<FaultSpec>,
-    erasure_f: usize,
-    erasure_trials: usize,
-    invariance_samples: usize,
     seed: u64,
 }
+
+/// Erasure-panel shape: certificates wiped per trial, and trials.
+const ERASURE_F: usize = 1;
+const ERASURE_TRIALS: usize = 8;
+/// Invariance-panel shape: random identifier permutations sampled.
+const INVARIANCE_SAMPLES: usize = 16;
 
 /// Every paper property, in canonical audit order.
 pub const ALL_PROPERTIES: [PropertyTag; 7] = [
@@ -556,9 +559,6 @@ impl<'a> AuditPlan<'a> {
             budget: None,
             telemetry: None,
             fault_plan: None,
-            erasure_f: 1,
-            erasure_trials: 8,
-            invariance_samples: 16,
             seed: 0xA0D1_7E57,
         }
     }
@@ -606,19 +606,6 @@ impl<'a> AuditPlan<'a> {
     /// Appends a degradation sweep under communication faults.
     pub fn fault_plan(mut self, spec: FaultSpec) -> Self {
         self.fault_plan = Some(spec);
-        self
-    }
-
-    /// Erasure-panel shape: wipe `f` certificates per trial, `trials` trials.
-    pub fn erasure_trials(mut self, f: usize, trials: usize) -> Self {
-        self.erasure_f = f;
-        self.erasure_trials = trials;
-        self
-    }
-
-    /// Invariance-panel shape: `samples` random identifier permutations.
-    pub fn invariance_samples(mut self, samples: usize) -> Self {
-        self.invariance_samples = samples;
         self
     }
 
@@ -905,9 +892,9 @@ impl<'a> AuditPlan<'a> {
             return;
         }
         let n = honest.graph().node_count();
-        let f = self.erasure_f.min(n);
+        let f = ERASURE_F.min(n);
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xE5A5);
-        let target_sets: Vec<Vec<usize>> = (0..self.erasure_trials)
+        let target_sets: Vec<Vec<usize>> = (0..ERASURE_TRIALS)
             .map(|_| {
                 rand::seq::index::sample(&mut rng, n, f)
                     .into_iter()
@@ -936,7 +923,7 @@ impl<'a> AuditPlan<'a> {
         let universe = anonymity_universe(
             honest.instance(),
             honest.labeling(),
-            self.invariance_samples,
+            INVARIANCE_SAMPLES,
             &mut rng,
         );
         let member = invariance_member(self.decoder, honest.instance(), honest.labeling());

@@ -14,10 +14,23 @@
 //! ```
 //!
 //! Every indexed run shape goes through the one panel walk: the typed
-//! [`run`](SweepSession::run), [`run_budgeted`](SweepSession::run_budgeted)
-//! and [`resume`](SweepSession::resume) wrap their check in a one-member
-//! [`DynPropertyCheck`] panel and downcast the member's verdict back to the
-//! check's own type; the continuation is a one-member [`PanelFragment`].
+//! [`run`](SweepSession::run) wraps its check in a one-member
+//! [`DynPropertyCheck`] panel and downcasts the member's verdict back to
+//! the check's own type.
+//!
+//! # Budgets and resuming
+//!
+//! [`run`](SweepSession::run) and [`run_panel`](SweepSession::run_panel)
+//! honour the budget and reduce whatever they walked: a walk the budget
+//! stops early yields an `interrupted` report with [`Coverage::Sampled`].
+//! A walk that must continue later is a fragment walk instead:
+//! [`run_panel_fragment`](SweepSession::run_panel_fragment) hands back the
+//! [`PanelFragment`] walked so far,
+//! [`resume_panel_fragment`](SweepSession::resume_panel_fragment) continues
+//! it until it [is complete](PanelFragment::is_complete), and
+//! [`super::merge_panel_fragments`] reduces it into the report one
+//! uninterrupted run would have produced, bit-for-bit. A single check
+//! resumes as a one-member panel.
 //!
 //! # Sharding
 //!
@@ -29,14 +42,15 @@
 //!   treat the shard range as the whole job and produce a normal report.
 //!   When `hi < universe.len()` the report is flagged `interrupted` with
 //!   [`Coverage::Sampled`] — correct, since one shard *is* a sample of
-//!   the universe. The continuation is the fragment walked so far, and it
-//!   carries the shard's `hi`, so a resumed walk never leaves the range.
+//!   the universe.
 //! * [`run_panel_fragment`](SweepSession::run_panel_fragment) produces
 //!   the raw [`PanelFragment`] — per-member partials, errors and
 //!   short-circuit frontiers over `[lo, hi)` — which
 //!   [`super::shard::merge_panel_fragments`] recombines into a report
 //!   bit-identical to the unsharded run. This is the path the `audit`
 //!   shard coordinator uses; a single check shards as a one-member panel.
+//!   The fragment carries the shard's `hi`, so a resumed walk never leaves
+//!   the range.
 //!
 //! # Budget semantics under shards
 //!
@@ -46,7 +60,7 @@
 //! across shards. Both are pinned by `budget` doc-tests and the
 //! `engine_parity` interrupted-shard property.
 
-use super::budget::{BudgetedSweep, PanelFragment, SweepBudget};
+use super::budget::{PanelFragment, SweepBudget};
 use super::check::{PropertyCheck, VerificationReport};
 use super::erased::{DynPropertyCheck, PropertyTag};
 use super::executor::{self, ExecMode, SweepOpts};
@@ -133,10 +147,12 @@ impl<'a> SweepSession<'a> {
     pub fn run<C>(&self, check: &C) -> VerificationReport<C::Verdict>
     where
         C: PropertyCheck,
-        C::Partial: Clone + 'static,
+        C::Partial: 'static,
         C::Verdict: Send + 'static,
     {
-        self.run_budgeted(check).report
+        let member = DynPropertyCheck::new(PropertyTag::Custom, "", check);
+        self.run_panel(std::slice::from_ref(&member))
+            .into_member_report(0)
     }
 
     /// The never-walked fragment of `members` members over the session's
@@ -146,76 +162,14 @@ impl<'a> SweepSession<'a> {
         PanelFragment::fresh(lo, hi, members)
     }
 
-    /// Sweeps `check` and keeps the continuation when the budget stops
-    /// the walk inside the session's range.
-    pub fn run_budgeted<C>(&self, check: &C) -> BudgetedSweep<VerificationReport<C::Verdict>>
-    where
-        C: PropertyCheck,
-        C::Partial: Clone + 'static,
-        C::Verdict: Send + 'static,
-    {
-        self.resume(check, self.fresh(1))
-    }
-
-    /// Continues an interrupted sweep from `fragment` (the one-member
-    /// continuation [`run_budgeted`](SweepSession::run_budgeted) handed
-    /// back). The combined chain of runs reproduces the uninterrupted
-    /// report bit-for-bit.
-    ///
-    /// # Panics
-    ///
-    /// When `fragment` does not describe exactly one member.
-    pub fn resume<C>(
-        &self,
-        check: &C,
-        fragment: PanelFragment,
-    ) -> BudgetedSweep<VerificationReport<C::Verdict>>
-    where
-        C: PropertyCheck,
-        C::Partial: Clone + 'static,
-        C::Verdict: Send + 'static,
-    {
-        let member = DynPropertyCheck::new(PropertyTag::Custom, "", check);
-        let out = self.resume_panel(std::slice::from_ref(&member), fragment);
-        BudgetedSweep {
-            report: out.report.into_member_report(0),
-            resume: out.resume,
-        }
-    }
-
     /// Fuses `checks` into one walk over the session's range.
     pub fn run_panel(&self, checks: &[DynPropertyCheck<'_>]) -> PanelReport {
-        self.run_panel_budgeted(checks).report
-    }
-
-    /// [`run_panel`](SweepSession::run_panel) keeping the continuation
-    /// when the budget stops the walk inside the session's range.
-    pub fn run_panel_budgeted(
-        &self,
-        checks: &[DynPropertyCheck<'_>],
-    ) -> BudgetedSweep<PanelReport> {
-        self.resume_panel(checks, self.fresh(checks.len()))
-    }
-
-    /// Continues an interrupted panel from `fragment`, walking toward the
-    /// fragment's own `hi` under this session's mode, options, budget and
-    /// recorder.
-    ///
-    /// # Panics
-    ///
-    /// When `fragment` describes a different number of members than
-    /// `checks`.
-    pub fn resume_panel(
-        &self,
-        checks: &[DynPropertyCheck<'_>],
-        fragment: PanelFragment,
-    ) -> BudgetedSweep<PanelReport> {
         panel::run_panel(
             checks,
             self.universe,
             self.mode,
             &self.budget,
-            fragment,
+            self.fresh(checks.len()),
             self.opts,
             self.recorder,
         )
@@ -258,7 +212,7 @@ impl<'a> SweepSession<'a> {
 ///
 /// * [`LazySweep::of`] fixes one instance and pulls *labelings* — the
 ///   memory-bounded way to walk `|alphabet|^n` assignments, stopping the
-///   pull at the first short-circuit or budget expiry;
+///   pull at the first short-circuit;
 /// * [`LazySweep::labeled`] pulls whole [`LabeledInstance`]s (one
 ///   instance per item, e.g. identifier variants), each with its own
 ///   one-item skeleton cache; fire with
@@ -270,7 +224,6 @@ impl<'a> SweepSession<'a> {
 pub struct LazySweep<'a> {
     instance: Option<&'a Instance>,
     coverage: Coverage,
-    budget: SweepBudget,
 }
 
 impl<'a> LazySweep<'a> {
@@ -279,7 +232,6 @@ impl<'a> LazySweep<'a> {
         LazySweep {
             instance: Some(instance),
             coverage,
-            budget: SweepBudget::unlimited(),
         }
     }
 
@@ -289,16 +241,7 @@ impl<'a> LazySweep<'a> {
         LazySweep {
             instance: None,
             coverage,
-            budget: SweepBudget::unlimited(),
         }
-    }
-
-    /// Sets the execution budget (default unlimited). An expired budget
-    /// stops *drawing* — a stateful source is never advanced past the
-    /// limit — and the report says how many items were drawn.
-    pub fn budget(mut self, budget: SweepBudget) -> Self {
-        self.budget = budget;
-        self
     }
 
     /// Sweeps `check` over `labelings` of the fixed instance.
@@ -317,7 +260,7 @@ impl<'a> LazySweep<'a> {
              (LazySweep::labeled sources fire with run_labeled)",
         );
         let universe = executor::single_instance(instance.clone(), self.coverage);
-        executor::run_lazy(check, &universe, labelings, &self.budget, |l| (l, None))
+        executor::run_lazy(check, &universe, labelings, |l| (l, None))
     }
 
     /// Sweeps `check` over labeled instances pulled from `items`.
@@ -329,7 +272,7 @@ impl<'a> LazySweep<'a> {
         // invariant: zero blocks sum to zero items — overflow is impossible.
         let universe =
             Universe::new(Vec::new(), self.coverage).expect("an empty universe cannot overflow");
-        executor::run_lazy(check, &universe, items, &self.budget, |li| {
+        executor::run_lazy(check, &universe, items, |li| {
             let (instance, labeling) = li.into_parts();
             (
                 labeling,

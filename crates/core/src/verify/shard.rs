@@ -267,7 +267,7 @@ fn validate_tiling(
 /// and the member fold drops its partials/errors past it — the fold a
 /// live walk applies to its worker threads' records. `mode` is only
 /// consulted for the report's `threads` field. The reduce is the very
-/// [`reduce_panel`] the live panel runs, so member verdicts, `checked`
+/// `reduce_panel` the live panel runs, so member verdicts, `checked`
 /// counts and coverage are structurally identical to the unsharded
 /// report. The walk counters (cache/memo hits) are reported as zero —
 /// they are observed, not stable, and the stable rendering never reads

@@ -335,7 +335,7 @@ impl SweepRecorder for MetricsRecorder {
 /// A worker thread's stack-local counter tally.
 ///
 /// The hot loop bumps plain `u64` fields — no atomics, no branches on
-/// "is a recorder attached" — and [`WorkerTally::flush`] folds the
+/// "is a recorder attached" — and `WorkerTally::flush` folds the
 /// totals into the recorder once per worker, mirroring the verdict
 /// memo's flush.
 #[derive(Debug, Default)]

@@ -37,7 +37,7 @@ use hiding_lcp_core::prover::all_labelings;
 use hiding_lcp_core::verify::{
     merge_panel_fragments, Block, Coverage, DynPropertyCheck, ExecMode, ItemCtx, LabelSource,
     LazySweep, PropertyCheck, PropertyTag, ShardSpec, SweepBudget, SweepOpts, SweepOutcome,
-    SweepSession, Universe, UniverseItem,
+    SweepSession, Universe, UniverseItem, VerificationReport,
 };
 use hiding_lcp_core::view::IdMode;
 use hiding_lcp_graph::algo::bipartite;
@@ -65,15 +65,48 @@ fn cycle_or_path(shape: u8, n: usize) -> Instance {
     }
 }
 
+/// Walks `check` as a one-member fragment under `session`'s budget,
+/// resumes it until it is complete and reduces the chain with
+/// [`merge_panel_fragments`]: one uninterrupted run's report, reached in
+/// budget-sized slices.
+fn resume_to_completion<C>(
+    session: SweepSession<'_>,
+    universe: &Universe,
+    check: &C,
+) -> Result<VerificationReport<C::Verdict>, TestCaseError>
+where
+    C: PropertyCheck,
+    C::Partial: 'static,
+    C::Verdict: Send + 'static,
+{
+    let members = [DynPropertyCheck::new(PropertyTag::Custom, "", check)];
+    let mut fragment = session.run_panel_fragment(&members);
+    let mut slices = 1usize;
+    while !fragment.is_complete() {
+        fragment = session.resume_panel_fragment(&members, fragment);
+        slices += 1;
+        prop_assert!(slices <= universe.len() + 2, "resume chain must terminate");
+    }
+    let merged = merge_panel_fragments(
+        &members,
+        universe,
+        ExecMode::Parallel(1),
+        vec![fragment],
+        None,
+    )
+    .expect("a complete chain tiles the universe");
+    Ok(merged.into_member_report(0))
+}
+
 /// Runs `check` both ways and asserts the reports agree observationally.
 fn assert_parity<C>(check: &C, universe: &Universe) -> Result<(), TestCaseError>
 where
     C: PropertyCheck,
-    C::Partial: Clone + 'static,
+    C::Partial: 'static,
     C::Verdict: PartialEq + std::fmt::Debug + Send + 'static,
 {
     let seq = SweepSession::over(universe)
-        .mode(ExecMode::Sequential)
+        .mode(ExecMode::Parallel(1))
         .run(check);
     let par = SweepSession::over(universe)
         .mode(ExecMode::Parallel(parity_threads()))
@@ -97,15 +130,15 @@ fn assert_opts_parity<C>(
 ) -> Result<(), TestCaseError>
 where
     C: PropertyCheck,
-    C::Partial: Clone + 'static,
+    C::Partial: 'static,
     C::Verdict: PartialEq + std::fmt::Debug + Send + 'static,
 {
     let reference = SweepSession::over(universe)
-        .mode(ExecMode::Sequential)
+        .mode(ExecMode::Parallel(1))
         .opts(a)
         .run(check);
     for (mode, opts) in [
-        (ExecMode::Sequential, b),
+        (ExecMode::Parallel(1), b),
         (ExecMode::Parallel(parity_threads()), a),
         (ExecMode::Parallel(parity_threads()), b),
     ] {
@@ -276,7 +309,7 @@ proptest! {
             .expect("small universe fits");
         let check = SoundnessCheck { decoder: &decoder };
         let flat = SweepSession::over(&universe)
-            .mode(ExecMode::Sequential)
+            .mode(ExecMode::Parallel(1))
             .run(&check);
         let alphabet = bits();
         let lazy = LazySweep::of(&instance, Coverage::Exhaustive).run(
@@ -303,20 +336,13 @@ proptest! {
             .expect("small universe fits");
         let check = SoundnessCheck { decoder: &decoder };
         let full = SweepSession::over(&universe)
-            .mode(ExecMode::Sequential)
+            .mode(ExecMode::Parallel(1))
             .run(&check);
 
         let mode = ExecMode::Parallel(parity_threads());
         let budget = SweepBudget::unlimited().with_max_items(step);
         let session = SweepSession::over(&universe).mode(mode).budget(budget);
-        let mut state = session.run_budgeted(&check);
-        let mut slices = 1usize;
-        while let Some(token) = state.resume.take() {
-            state = session.resume(&check, token);
-            slices += 1;
-            prop_assert!(slices <= universe.len() + 2, "resume chain must terminate");
-        }
-        let resumed = state.report;
+        let resumed = resume_to_completion(session, &universe, &check)?;
         prop_assert_eq!(&full.verdict, &resumed.verdict);
         prop_assert_eq!(full.checked, resumed.checked);
         prop_assert_eq!(full.universe_size, resumed.universe_size);
@@ -346,7 +372,7 @@ proptest! {
         let (seq, par) = quietly(|| {
             (
                 SweepSession::over(&universe)
-                    .mode(ExecMode::Sequential)
+                    .mode(ExecMode::Parallel(1))
                     .run(&check),
                 SweepSession::over(&universe)
                     .mode(ExecMode::Parallel(threads))
@@ -420,11 +446,11 @@ proptest! {
             let check = HidingCheck::new(&decoder, &universe, 2, bipartite::is_bipartite);
             SweepSession::over(&universe).mode(mode).opts(opts).run(&check)
         };
-        let reference = run(ExecMode::Sequential, SweepOpts::oracle());
+        let reference = run(ExecMode::Parallel(1), SweepOpts::oracle());
         let (ref_nbhd, ref_verdict) = &reference.verdict;
         let memo_off = SweepOpts { memo: false, ..SweepOpts::default() };
         for (mode, opts) in [
-            (ExecMode::Sequential, SweepOpts::default()),
+            (ExecMode::Parallel(1), SweepOpts::default()),
             (ExecMode::Parallel(parity_threads()), SweepOpts::default()),
             (ExecMode::Parallel(parity_threads()), memo_off),
         ] {
@@ -449,7 +475,7 @@ proptest! {
             .expect("small universe fits");
         let check = SoundnessCheck { decoder: &decoder };
         let oracle = SweepSession::over(&universe)
-            .mode(ExecMode::Sequential)
+            .mode(ExecMode::Parallel(1))
             .opts(SweepOpts::oracle())
             .run(&check);
 
@@ -459,14 +485,7 @@ proptest! {
             .mode(mode)
             .budget(budget)
             .opts(SweepOpts::default());
-        let mut state = session.run_budgeted(&check);
-        let mut slices = 1usize;
-        while let Some(token) = state.resume.take() {
-            state = session.resume(&check, token);
-            slices += 1;
-            prop_assert!(slices <= universe.len() + 2, "resume chain must terminate");
-        }
-        let resumed = state.report;
+        let resumed = resume_to_completion(session, &universe, &check)?;
         prop_assert_eq!(&oracle.verdict, &resumed.verdict);
         prop_assert_eq!(oracle.checked, resumed.checked);
         prop_assert_eq!(oracle.universe_size, resumed.universe_size);
@@ -501,7 +520,7 @@ proptest! {
             .with_channel(&decoder),
         ];
         let seq = SweepSession::over(&universe)
-            .mode(ExecMode::Sequential)
+            .mode(ExecMode::Parallel(1))
             .run_panel(&members);
         let par = SweepSession::over(&universe)
             .mode(ExecMode::Parallel(parity_threads()))
@@ -515,7 +534,7 @@ proptest! {
             prop_assert_eq!(&a.verdict.detail, &b.verdict.detail);
         }
 
-        let solo = SweepSession::over(&universe).mode(ExecMode::Sequential);
+        let solo = SweepSession::over(&universe).mode(ExecMode::Parallel(1));
         let solo_soundness = solo.run(&soundness);
         let solo_strong = solo.run(&strong);
         prop_assert_eq!(seq.members[0].checked, solo_soundness.checked);
@@ -563,14 +582,14 @@ proptest! {
             .with_channel(&decoder),
         ];
         let full = SweepSession::over(&universe)
-            .mode(ExecMode::Sequential)
+            .mode(ExecMode::Parallel(1))
             .run_panel(&members);
 
         let budget = SweepBudget::unlimited().with_max_items(step);
         let mut fragments = Vec::new();
         for spec in ShardSpec::partition(shards) {
             let session = SweepSession::over(&universe)
-                .mode(ExecMode::Sequential)
+                .mode(ExecMode::Parallel(1))
                 .budget(budget)
                 .shard(spec);
             let mut frag = session.run_panel_fragment(&members);
@@ -583,7 +602,7 @@ proptest! {
             fragments.push(frag);
         }
         let merged =
-            merge_panel_fragments(&members, &universe, ExecMode::Sequential, fragments, None)
+            merge_panel_fragments(&members, &universe, ExecMode::Parallel(1), fragments, None)
                 .expect("complete shard fragments tile the universe");
 
         prop_assert_eq!(full.evidence.checked, merged.evidence.checked);
@@ -600,11 +619,12 @@ proptest! {
     fn interrupted_run_continuation_is_a_mergeable_fragment(
         code in 0u8..64, n in 3usize..8, step in 5usize..40,
     ) {
-        // A budget-interrupted run's continuation is the fragment it walked
-        // so far: finishing it with `resume_panel_fragment` and merging it
-        // alone must reproduce the uninterrupted panel, at every execution
-        // mode and strategy. The symmetric cycle makes the quotient bite,
-        // and n = 7 (128 items) crosses the parallel threshold.
+        // A budget-interrupted fragment walk is the continuation of the
+        // interrupted run under the same budget: finishing it with
+        // `resume_panel_fragment` and merging it alone must reproduce the
+        // uninterrupted panel, at every execution mode and strategy. The
+        // symmetric cycle makes the quotient bite, and n = 7 (128 items)
+        // crosses the parallel threshold.
         let decoder = PortObliviousCycleDecoder::from_code(code);
         let two_col = KCol::new(2);
         let universe =
@@ -622,7 +642,6 @@ proptest! {
             .with_channel(&decoder),
         ];
         let modes = [
-            ExecMode::Sequential,
             ExecMode::Parallel(1),
             ExecMode::Parallel(parity_threads()),
             ExecMode::Auto,
@@ -632,14 +651,16 @@ proptest! {
                 let session = SweepSession::over(&universe).mode(mode).opts(opts);
                 let full = session.run_panel(&members);
                 let stepped = session.budget(SweepBudget::unlimited().with_max_items(step));
-                let first = stepped.run_panel_budgeted(&members);
-                let Some(mut frag) = first.resume else {
+                let first = stepped.run_panel(&members);
+                let mut frag = stepped.run_panel_fragment(&members);
+                if frag.is_complete() {
                     // The first slice decided the panel: nothing to continue.
-                    prop_assert!(!first.report.evidence.interrupted);
-                    prop_assert_eq!(first.report.evidence.checked, full.evidence.checked);
+                    prop_assert!(!first.evidence.interrupted);
+                    prop_assert_eq!(first.evidence.checked, full.evidence.checked);
                     continue;
-                };
-                prop_assert!(first.report.evidence.interrupted);
+                }
+                prop_assert!(first.evidence.interrupted);
+                prop_assert_eq!(first.evidence.checked, frag.next);
                 prop_assert_eq!((frag.lo, frag.hi, frag.next), (0, universe.len(), step));
                 let mut slices = 1usize;
                 while !frag.is_complete() {
@@ -770,7 +791,7 @@ proptest! {
             .expect("small universe fits");
         let check = MultiplicityRecorder { classes: Some(vec![0; k]) };
         let report = SweepSession::over(&universe)
-            .mode(ExecMode::Sequential)
+            .mode(ExecMode::Parallel(1))
             .opts(SweepOpts::quotient())
             .run(&check);
         prop_assert_eq!(report.checked, universe.len());
@@ -855,7 +876,7 @@ proptest! {
         let run = |opts: SweepOpts| {
             let check = HidingCheck::new(&decoder, &universe, 2, bipartite::is_bipartite);
             SweepSession::over(&universe)
-                .mode(ExecMode::Sequential)
+                .mode(ExecMode::Parallel(1))
                 .opts(opts)
                 .run(&check)
         };
@@ -897,10 +918,10 @@ proptest! {
             .with_channel(&decoder),
         ];
         let reference = SweepSession::over(&universe)
-            .mode(ExecMode::Sequential)
+            .mode(ExecMode::Parallel(1))
             .opts(SweepOpts::default())
             .run_panel(&members);
-        for mode in [ExecMode::Sequential, ExecMode::Parallel(parity_threads())] {
+        for mode in [ExecMode::Parallel(1), ExecMode::Parallel(parity_threads())] {
             let quotient = SweepSession::over(&universe)
                 .mode(mode)
                 .opts(SweepOpts::quotient())
@@ -964,46 +985,49 @@ fn budget_max_items_is_per_shard() {
     let m = 3usize;
     let shards = 2usize;
     let budget = SweepBudget::unlimited().with_max_items(m);
+    let members = [DynPropertyCheck::new(PropertyTag::Custom, "", CountItems)];
     let mut first_pass_total = 0usize;
+    let mut fragments = Vec::new();
     for spec in ShardSpec::partition(shards) {
         let session = SweepSession::over(&universe)
-            .mode(ExecMode::Sequential)
+            .mode(ExecMode::Parallel(1))
             .budget(budget)
             .shard(spec);
         let (lo, hi) = session.range();
         assert!(hi - lo > m, "shard span must exceed the allowance");
-        let mut state = session.run_budgeted(&CountItems);
+        let first = session.run(&CountItems);
         // `checked` is the walk frontier (it includes the shard's skipped
         // prefix `[0, lo)`); the CountItems verdict counts actual visits.
+        assert_eq!(first.verdict, m, "first slice visits exactly m items");
+        assert_eq!(first.checked, lo + m, "frontier advances by m from lo");
+        first_pass_total += first.verdict;
+        let mut frag = session.run_panel_fragment(&members);
         assert_eq!(
-            state.report.verdict, m,
-            "first slice visits exactly m items"
-        );
-        assert_eq!(
-            state.report.checked,
+            frag.next,
             lo + m,
-            "frontier advances by m from lo"
+            "the fragment walk stops where the run did"
         );
-        first_pass_total += state.report.verdict;
         let mut slices = 1usize;
-        while let Some(token) = state.resume.take() {
+        while !frag.is_complete() {
             assert!(
-                token.next > lo && token.next < hi,
+                frag.next > lo && frag.next < hi,
                 "resume frontier stays inside the shard range"
             );
-            state = session.resume(&CountItems, token);
+            frag = session.resume_panel_fragment(&members, frag);
             slices += 1;
             assert!(slices <= universe.len() + 2, "resume chain must terminate");
         }
         assert_eq!(
-            state.report.verdict,
+            frag.members[0].partials.len(),
             hi - lo,
             "the drained chain covers the shard span exactly"
         );
-        assert_eq!(
-            state.report.checked, hi,
-            "the frontier ends at the shard's hi"
-        );
+        assert_eq!(frag.next, hi, "the frontier ends at the shard's hi");
+        fragments.push(frag);
     }
     assert_eq!(first_pass_total, shards * m, "allowances are independent");
+    let merged = merge_panel_fragments(&members, &universe, ExecMode::Parallel(1), fragments, None)
+        .expect("drained shard chains tile the universe")
+        .into_member_report::<usize>(0);
+    assert_eq!(merged.verdict, universe.len());
 }

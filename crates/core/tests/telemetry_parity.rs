@@ -122,7 +122,7 @@ fn recorded_sweeps_match_plain_sweeps() {
     let decoder = full_walk_decoder();
     let universe = big_universe();
     let check = SoundnessCheck { decoder: &decoder };
-    for mode in [ExecMode::Sequential, ExecMode::Parallel(parity_threads())] {
+    for mode in [ExecMode::Parallel(1), ExecMode::Parallel(parity_threads())] {
         for opts in [
             SweepOpts::default(),
             SweepOpts::oracle(),
@@ -155,7 +155,7 @@ fn recorded_panels_match_plain_panels() {
     let two_col = KCol::new(2);
     let universe = big_universe();
     let members = panel_members(&decoder, &two_col);
-    for mode in [ExecMode::Sequential, ExecMode::Parallel(parity_threads())] {
+    for mode in [ExecMode::Parallel(1), ExecMode::Parallel(parity_threads())] {
         let plain = SweepSession::over(&universe)
             .mode(mode)
             .opts(SweepOpts::default())
@@ -224,11 +224,11 @@ mod enabled {
                 .run(&check);
             recorder.snapshot().stable_bytes()
         };
-        let reference = run(ExecMode::Sequential);
+        let reference = run(ExecMode::Parallel(1));
         assert!(!reference.is_empty());
         assert!(reference.contains("items_walked=128\n"), "{reference}");
         for _ in 0..2 {
-            assert_eq!(reference, run(ExecMode::Sequential), "sequential rerun");
+            assert_eq!(reference, run(ExecMode::Parallel(1)), "sequential rerun");
             assert_eq!(
                 reference,
                 run(ExecMode::Parallel(parity_threads())),
@@ -253,10 +253,10 @@ mod enabled {
                 .run_panel(&members);
             recorder.snapshot().stable_bytes()
         };
-        let reference = run(ExecMode::Sequential);
+        let reference = run(ExecMode::Parallel(1));
         // Two members, complete walk: every index is walked once per member.
         assert!(reference.contains("items_walked=256\n"), "{reference}");
-        assert_eq!(reference, run(ExecMode::Sequential));
+        assert_eq!(reference, run(ExecMode::Parallel(1)));
         assert_eq!(reference, run(ExecMode::Parallel(parity_threads())));
     }
 
@@ -269,7 +269,7 @@ mod enabled {
         let check = OrbitProbe { k: 2 };
         let recorder = MetricsRecorder::new();
         let report = SweepSession::over(&universe)
-            .mode(ExecMode::Sequential)
+            .mode(ExecMode::Parallel(1))
             .opts(SweepOpts::quotient())
             .recorder(&recorder)
             .run(&check);
@@ -302,7 +302,7 @@ mod enabled {
         let two_col = KCol::new(2);
         let universe = big_universe();
         let members = panel_members(&decoder, &two_col);
-        for mode in [ExecMode::Sequential, ExecMode::Parallel(parity_threads())] {
+        for mode in [ExecMode::Parallel(1), ExecMode::Parallel(parity_threads())] {
             let recorder = MetricsRecorder::new();
             SweepSession::over(&universe)
                 .mode(mode)
@@ -334,7 +334,7 @@ mod enabled {
         let run = || {
             let recorder = MetricsRecorder::with_clock(Arc::new(ManualClock::default()));
             SweepSession::over(&universe)
-                .mode(ExecMode::Sequential)
+                .mode(ExecMode::Parallel(1))
                 .recorder(&recorder)
                 .run(&check);
             (recorder.metrics_json(), recorder.trace_json())

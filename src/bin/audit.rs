@@ -72,7 +72,9 @@ fn usage() -> ! {
          \n\
          Audits one of the paper's LCPs over the Lemma 3.1 family up to N nodes\n\
          (default: even-cycle, N=4, all seven properties) and prints the fused-panel\n\
-         report as JSON. --strategy quotient sweeps only canonical orbit\n\
+         report as JSON. --threads T runs T workers (default: one per core);\n\
+         --threads 1 runs on the calling thread, and every T gives the same\n\
+         report. --strategy quotient sweeps only canonical orbit\n\
          representatives (same verdicts, less wall-clock). --trace-out writes a\n\
          Chrome trace_event file (open in chrome://tracing or Perfetto);\n\
          --metrics-out writes the counter/phase snapshot. --stable zeroes\n\
@@ -131,7 +133,6 @@ fn parse_args() -> Args {
                     .collect();
             }
             "--threads" => args.mode = ExecMode::Parallel(parse_or_usage(&value("--threads"))),
-            "--sequential" => args.mode = ExecMode::Sequential,
             "--strategy" => {
                 let name = value("--strategy");
                 args.opts = match name.as_str() {
@@ -434,13 +435,9 @@ fn child_args(args: &Args) -> Vec<String> {
             .collect::<Vec<_>>()
             .join(","),
     ];
-    match args.mode {
-        ExecMode::Sequential => v.push("--sequential".to_string()),
-        ExecMode::Parallel(t) => {
-            v.push("--threads".to_string());
-            v.push(t.to_string());
-        }
-        ExecMode::Auto => {}
+    if let ExecMode::Parallel(t) = args.mode {
+        v.push("--threads".to_string());
+        v.push(t.to_string());
     }
     if let Some(budget) = args.budget {
         if let Some(deadline) = budget.deadline {

@@ -74,3 +74,35 @@ fn audit_merge_rejects_an_out_of_range_item() {
     let stderr = assert_rejected(AUDIT, &args);
     assert!(stderr.contains("item 99999"), "{stderr}");
 }
+
+/// `--sequential` is gone (`--threads 1` runs on the calling thread): it
+/// is an unknown flag like any other.
+#[test]
+fn audit_rejects_the_removed_sequential_flag() {
+    let stderr = assert_rejected(AUDIT, &["--sequential"]);
+    assert!(stderr.contains("unknown flag --sequential"), "{stderr}");
+    assert!(stderr.contains("usage: audit"), "{stderr}");
+}
+
+/// The worker count changes nothing but each panel's own `"threads"`
+/// field: `--threads 1` and `--threads 2` emit the same stable report,
+/// byte for byte once that field is masked, and the same exit code.
+#[test]
+fn audit_stable_report_is_independent_of_the_thread_count() {
+    let report = |threads: &str| {
+        let args = ["--decoder", "degree-one", "--max-n", "3", "--stable"];
+        let out = run(AUDIT, &[&args[..], &["--threads", threads]].concat());
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
+        let masked: Vec<String> = stdout
+            .lines()
+            .map(|line| match line.find("\"threads\": ") {
+                Some(at) => format!("{}\"threads\": _", &line[..at]),
+                None => line.to_string(),
+            })
+            .collect();
+        (out.status.code(), masked)
+    };
+    let one = report("1");
+    assert!(one.1.len() > 20, "a whole report: {:?}", one.1);
+    assert_eq!(one, report("2"));
+}
