@@ -2,7 +2,7 @@
 //! verification engine (experiments E17 and E21).
 //!
 //! Symmetric-port cycles up to n = 8 under every adversary labeling,
-//! swept through a [`HidingCheck`] on one worker (the `sequential` rows,
+//! swept through an [`NbhdSweep`] with its hiding verdict on one worker (the `sequential` rows,
 //! `ExecMode::Parallel(1)`) and on `ExecMode::Parallel(t)` for the full
 //! `{1, 2, 4}` thread ladder
 //! (always emitted, even on small boxes, where the extra rows measure
@@ -43,8 +43,7 @@ use criterion::{BenchResult, Criterion};
 use hiding_lcp_bench::report::{self, ReportDoc};
 use hiding_lcp_certs::revealing::{adversary_alphabet, RevealingDecoder};
 use hiding_lcp_core::instance::Instance;
-use hiding_lcp_core::nbhd::{NbhdGraph, NbhdSweep};
-use hiding_lcp_core::properties::hiding::{HidingCheck, HidingVerdict};
+use hiding_lcp_core::nbhd::{NbhdGraph, NbhdSweep, NbhdVerdict};
 use hiding_lcp_core::verify::telemetry::diff;
 use hiding_lcp_core::verify::{
     merge_panel_fragments, Block, Coverage, DynPropertyCheck, ExecMode, LabelSource,
@@ -80,15 +79,29 @@ fn cycle_universe(max_n: usize) -> Universe {
     Universe::new(blocks, Coverage::Sampled).expect("bench universe fits")
 }
 
+/// The Lemma 3.1 scan with its hiding verdict, over anonymous views.
+fn hiding_check<'a>(
+    decoder: &'a RevealingDecoder,
+    universe: &Universe,
+) -> NbhdSweep<'a, RevealingDecoder> {
+    NbhdSweep::new(
+        decoder,
+        IdMode::Anonymous,
+        universe,
+        bipartite::is_bipartite,
+    )
+    .with_hiding(2)
+}
+
 fn sweep_nbhd(universe: &Universe, mode: ExecMode, opts: SweepOpts) -> NbhdGraph {
     let decoder = RevealingDecoder::new(2);
-    let check = HidingCheck::new(&decoder, universe, 2, bipartite::is_bipartite);
+    let check = hiding_check(&decoder, universe);
     SweepSession::over(universe)
         .mode(mode)
         .opts(opts)
         .run(&check)
         .verdict
-        .0
+        .graph
 }
 
 /// The sweep split into `shards` in-process one-member panel fragments
@@ -98,7 +111,7 @@ fn sweep_nbhd(universe: &Universe, mode: ExecMode, opts: SweepOpts) -> NbhdGraph
 /// top. `shards = 1` isolates the fragment path's fixed price.
 fn sweep_nbhd_sharded(universe: &Universe, shards: usize, mode: ExecMode) -> NbhdGraph {
     let decoder = RevealingDecoder::new(2);
-    let check = HidingCheck::new(&decoder, universe, 2, bipartite::is_bipartite);
+    let check = hiding_check(&decoder, universe);
     let members = [DynPropertyCheck::new(PropertyTag::Hiding, "hiding", &check)];
     let fragments = ShardSpec::partition(shards)
         .into_iter()
@@ -111,9 +124,9 @@ fn sweep_nbhd_sharded(universe: &Universe, shards: usize, mode: ExecMode) -> Nbh
         .collect();
     merge_panel_fragments(&members, universe, mode, fragments, None)
         .expect("complete shard fragments tile the universe")
-        .into_member_report::<(NbhdGraph, HidingVerdict)>(0)
+        .into_member_report::<NbhdVerdict>(0)
         .verdict
-        .0
+        .graph
 }
 
 /// The same sweep with a live [`MetricsRecorder`] attached — the routine
@@ -125,14 +138,14 @@ fn sweep_nbhd_recorded(
     recorder: &MetricsRecorder,
 ) -> NbhdGraph {
     let decoder = RevealingDecoder::new(2);
-    let check = HidingCheck::new(&decoder, universe, 2, bipartite::is_bipartite);
+    let check = hiding_check(&decoder, universe);
     SweepSession::over(universe)
         .mode(mode)
         .opts(opts)
         .recorder(recorder)
         .run(&check)
         .verdict
-        .0
+        .graph
 }
 
 /// One size's stable sweep counters (the deterministic subset of a
@@ -194,7 +207,7 @@ fn collect_stats(universe: &Universe, group: String) -> SweepStats {
         memo_misses: report.memo_misses,
         interner_hits,
         interner_misses,
-        distinct_views: report.verdict.view_count(),
+        distinct_views: report.verdict.graph.view_count(),
     }
 }
 

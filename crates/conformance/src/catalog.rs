@@ -116,7 +116,7 @@ pub const MUTANTS: &[Mutant] = &[
     Mutant {
         name: "nbhd_selfloop_dropped",
         host: "hiding-lcp-core",
-        site: "neighborhood graph forgets self-loops (length-1 odd walks)",
+        site: "V(D, n) materialization (the one fold) forgets self-loops (length-1 odd walks)",
         expected_killers: &["hiding_selfloop_walk"],
     },
     Mutant {

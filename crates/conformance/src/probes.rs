@@ -524,15 +524,17 @@ pub fn hiding_selfloop_walk() {
     let instance = Instance::new(g, ports, IdAssignment::canonical(4)).expect("valid C4 instance");
     let li = instance.with_labeling(Labeling::empty(4));
     // Both Lemma 3.1 paths must find the loop: the incremental `extend`
-    // step and the engine sweep behind `build`.
+    // fold and the engine sweep.
     let mut nbhd = NbhdGraph::empty(1, IdMode::Anonymous);
     nbhd.extend(&YesMan, vec![li.clone()], bipartite::is_bipartite);
-    let swept = NbhdGraph::build(
+    let universe = Universe::from_labeled(vec![li], Coverage::Sampled).expect("one item fits");
+    let swept = NbhdGraph::from_sweep(
         &YesMan,
         IdMode::Anonymous,
-        vec![li],
+        &universe,
         bipartite::is_bipartite,
-    );
+    )
+    .verdict;
     assert_eq!(
         nbhd.self_loop_views(),
         swept.self_loop_views(),

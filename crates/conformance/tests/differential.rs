@@ -13,11 +13,10 @@ use hiding_lcp_core::instance::{Instance, LabeledInstance};
 use hiding_lcp_core::label::{Certificate, Labeling};
 use hiding_lcp_core::language::KCol;
 use hiding_lcp_core::lower::PortObliviousCycleDecoder;
+use hiding_lcp_core::nbhd::NbhdSweep;
 use hiding_lcp_core::properties::completeness::check_completeness;
 use hiding_lcp_core::properties::erasure::erase_and_run;
-use hiding_lcp_core::properties::hiding::HidingCheck;
 use hiding_lcp_core::properties::invariance::InvarianceCheck;
-use hiding_lcp_core::properties::quantified::QuantifiedCheck;
 use hiding_lcp_core::properties::soundness::{SoundnessCheck, SoundnessViolation};
 use hiding_lcp_core::properties::strong::{StrongCheck, StrongViolation};
 use hiding_lcp_core::prover::Prover;
@@ -25,6 +24,7 @@ use hiding_lcp_core::verify::{
     merge_panel_fragments, Coverage, DynPropertyCheck, ExecMode, LazySweep, PropertyTag,
     SweepBudget, SweepOpts, SweepSession, Universe, VerificationReport,
 };
+use hiding_lcp_core::view::IdMode;
 use hiding_lcp_graph::algo::bipartite;
 use hiding_lcp_graph::{generators, IdAssignment};
 use proptest::prelude::*;
@@ -216,12 +216,19 @@ fn hiding_matches_oracle() {
             let reference = ViewGraph::build(decoder, &items, bipartite::is_bipartite);
             for mode in modes() {
                 for opts in strategies() {
-                    let check = HidingCheck::new(decoder, &universe, 2, bipartite::is_bipartite);
+                    let check = NbhdSweep::new(
+                        decoder,
+                        IdMode::Anonymous,
+                        &universe,
+                        bipartite::is_bipartite,
+                    )
+                    .with_hiding(2);
                     let report = SweepSession::over(&universe)
                         .mode(mode)
                         .opts(opts)
                         .run(&check);
-                    let (nbhd, verdict) = report.verdict;
+                    let nbhd = report.verdict.graph;
+                    let verdict = report.verdict.hiding.expect("hiding requested");
                     assert_eq!(
                         nbhd.view_count(),
                         reference.views.len(),
@@ -265,12 +272,22 @@ fn quantified_matches_oracle() {
         let ref_fraction = reference.hidden_fraction(decoder.radius(), &probe_li, 2);
         for mode in modes() {
             for opts in strategies() {
-                let check = QuantifiedCheck::new(decoder, &universe, 2, bipartite::is_bipartite);
+                let check = NbhdSweep::new(
+                    decoder,
+                    IdMode::Anonymous,
+                    &universe,
+                    bipartite::is_bipartite,
+                )
+                .with_extractability(2);
                 let report = SweepSession::over(&universe)
                     .mode(mode)
                     .opts(opts)
                     .run(&check);
-                let (nbhd, map) = report.verdict;
+                let nbhd = report.verdict.graph;
+                let map = report
+                    .verdict
+                    .extractability
+                    .expect("extractability requested");
                 assert_eq!(
                     map.unextractable_views(),
                     ref_unext.iter().filter(|&&b| b).count(),

@@ -61,8 +61,9 @@ pub struct Refutation {
 }
 
 /// Attempts to realize the views of `walk` (an odd cycle in `nbhd`) as a
-/// `G_bad` instance via Lemma 5.1, drawing reference views from all nodes
-/// of the retained yes-instances.
+/// `G_bad` instance via Lemma 5.1, drawing reference views from every
+/// node of the folded yes-instances ([`NbhdGraph::seen_views`], in
+/// first-occurrence order, which [`find_plan`] searches first to last).
 ///
 /// Only meaningful for [`IdMode::Full`] neighborhood graphs.
 pub fn try_realize_walk(nbhd: &NbhdGraph, walk: &[usize]) -> Option<Realization> {
@@ -70,16 +71,7 @@ pub fn try_realize_walk(nbhd: &NbhdGraph, walk: &[usize]) -> Option<Realization>
         return None;
     }
     let views: Vec<View> = walk.iter().map(|&i| nbhd.view(i).clone()).collect();
-    let pool: Vec<View> = nbhd
-        .instances()
-        .iter()
-        .flat_map(|li| {
-            li.graph()
-                .nodes()
-                .map(move |v| li.view(v, nbhd.radius(), nbhd.id_mode()))
-        })
-        .collect();
-    let plan = find_plan(&views, &pool).ok()?;
+    let plan = find_plan(&views, nbhd.seen_views()).ok()?;
     let realization = realize(&plan).ok()?;
     // All walk views must be reproduced exactly.
     views

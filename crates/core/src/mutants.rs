@@ -37,8 +37,9 @@
 //!   minimum certificate length instead of the maximum.
 //! * `strong_drops_last_acceptor` — strong soundness drops the highest
 //!   accepting node before inducing the subgraph.
-//! * `nbhd_selfloop_dropped` — the neighborhood graph forgets self-loops
-//!   (equal adjacent accepting views), the length-1 odd walks.
+//! * `nbhd_selfloop_dropped` — the one materialization of `V(D, n)`,
+//!   shared by the sweep's reduce and `extend`, forgets self-loops (equal
+//!   adjacent accepting views), the length-1 odd walks.
 //! * `fault_salt_reuse` — duplication decisions reuse the drop salt, so
 //!   the two fault kinds fire on exactly the same messages.
 //! * `degradation_salt_swap` — honest and adversarial degradation trials

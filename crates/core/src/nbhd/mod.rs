@@ -4,63 +4,221 @@
 //! labeled yes-instance; `V(D, n)` connects two accepting views iff they
 //! are *yes-instance-compatible* (they occur at the two endpoints of an
 //! edge of some labeled yes-instance). Lemma 3.1 constructs `V(D, n)` by
-//! iterating over labeled yes-instances; [`NbhdGraph::build`] is that
-//! algorithm over a caller-supplied instance universe, and
-//! [`sources`] produces the universes (exhaustive for small n, or the
-//! paper's seeded figures).
+//! iterating over labeled yes-instances, and [`sources`] produces the
+//! universes (exhaustive for small n, or the paper's seeded figures).
+//!
+//! # One construction
+//!
+//! `V(D, n)` is a union over labeled yes-instances, so the iteration folds
+//! item by item into an [`NbhdSummary`] and summaries merge in any order.
+//! The summary keeps first witnesses only: for every view seen in a
+//! yes-instance its first occurrence and its first accepting node, and for
+//! every unordered pair of views adjacent in a yes-instance (self pairs
+//! included) its first edge. Materializing it keeps the accepted views in
+//! first-witness order, turns a pair into an edge or a self-loop only when
+//! both of its views are accepted, and clones only the witness instances.
+//! Pairs cover every view seen, not only accepted ones: a view rejected in
+//! one instance can be accepted in another when the decoder reads
+//! identifiers, so which pairs become live is known only at the end.
+//!
+//! The engine runs that fold as [`NbhdSweep`]: workers fold their items
+//! into one summary each ([`PropertyCheck::fold_partial`]), fragments and
+//! shards carry summaries as ordinary partials, and the reduce merges and
+//! materializes them. [`NbhdGraph::extend`] runs the same per-item fold
+//! sequentially into a summary the graph keeps, and [`NbhdGraph::build`]
+//! is one `extend` of an empty graph.
 //!
 //! Lemma 3.2 then characterizes hiding: `D` hides a k-coloring iff
 //! `V(D, n)` is not k-colorable — i.e. iff [`NbhdGraph::odd_cycle`]
-//! succeeds (for k = 2) or [`NbhdGraph::k_colorable`] fails.
+//! succeeds (for k = 2) or [`NbhdGraph::k_colorable`] fails. The sweep
+//! applies it on request ([`NbhdSweep::with_hiding`]), as it does the
+//! extractability classification ([`NbhdSweep::with_extractability`]).
 
 pub mod sources;
 
 use crate::decoder::{run, Decoder, Verdict};
 use crate::instance::LabeledInstance;
+use crate::properties::hiding::{check_hiding, HidingVerdict};
+use crate::properties::quantified::ExtractabilityMap;
 use crate::verify::{
-    digit_key, Coverage, InternerReport, ItemCtx, PropertyCheck, SweepOutcome, SweepSession,
-    SymmetrySpec, Universe, UniverseItem, VerificationReport, ViewId, ViewInterner,
+    digit_key, InternerReport, ItemCtx, PropertyCheck, SweepOutcome, SweepSession, SymmetrySpec,
+    Universe, UniverseItem, VerificationReport, ViewId, ViewInterner,
 };
 use crate::view::{IdMode, View};
 use hiding_lcp_graph::algo::{bipartite, coloring};
 use hiding_lcp_graph::Graph;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// Per-item evidence of the Lemma 3.1 sweep: every node's canonical view
-/// (in the neighborhood graph's id mode) as an id into the sweep's
-/// [`ViewInterner`], plus its acceptance flag. Interned ids keep the
-/// per-item evidence at two machine words per node — the sweep no longer
-/// clones one [`View`] per node per labeling.
-#[derive(Debug, Clone)]
-pub struct NbhdScan {
-    view_ids: Vec<ViewId>,
-    accepts: Vec<bool>,
-}
+/// A first witness: `(item, node)` for a view, `(item, edge position)`
+/// for a pair of views, where `item` numbers a labeled yes-instance and an
+/// edge position indexes [`Graph::edges`]. The least witness wins.
+pub(crate) type Witness = (usize, usize);
 
-impl NbhdScan {
-    /// Per-node acceptance flags, in node order. This is the portable half
-    /// of a scan: view ids are run-local interner handles, so a scan
-    /// crossing a process boundary ships only its accepts and the merging
-    /// side re-interns views via [`NbhdSweep::reconstruct_scan`].
-    pub(crate) fn accepts(&self) -> &[bool] {
-        &self.accepts
+/// Multiply-rotate hashing for interner ids. The keys are small dense
+/// integers hashed once per node and edge of every yes-labeling, and the
+/// interner mints them (input never picks one), so SipHash's flood
+/// resistance buys nothing here.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
-/// The Lemma 3.1 construction as a [`PropertyCheck`]: inspection scans one
-/// labeled yes-instance (no-instances yield no partial), and the reduce
-/// step replays the exact two-pass insertion order of
-/// [`NbhdGraph::extend`], so the engine-built graph is identical —
-/// views, edges, witnesses and all — to the sequential construction.
+/// The first witness per key.
+type Firsts<K> = HashMap<K, Witness, BuildHasherDefault<IdHasher>>;
+
+fn note<K: Hash + Eq>(firsts: &mut Firsts<K>, key: K, witness: Witness) {
+    firsts
+        .entry(key)
+        .and_modify(|w| *w = (*w).min(witness))
+        .or_insert(witness);
+}
+
+/// The mergeable state of the Lemma 3.1 scan: first witnesses keyed by
+/// the view ids of one [`ViewInterner`] (see the module docs). Merging is
+/// an element-wise minimum, so it is associative and commutative.
+#[derive(Debug, Clone, Default)]
+pub struct NbhdSummary {
+    /// Per view seen in a yes-instance, its first occurrence.
+    seen: Firsts<ViewId>,
+    /// Per view accepted somewhere, its first accepting node.
+    accepted: Firsts<ViewId>,
+    /// Per candidate pair (self pairs included), its first edge.
+    pairs: Firsts<(ViewId, ViewId)>,
+}
+
+impl NbhdSummary {
+    /// Folds the labeled yes-instance numbered `item`: node `v` has view
+    /// `ids[v]` and accepts iff `accepts(v)`.
+    fn absorb(
+        &mut self,
+        item: usize,
+        graph: &Graph,
+        ids: &[ViewId],
+        accepts: impl Fn(usize) -> bool,
+    ) {
+        for (v, &id) in ids.iter().enumerate() {
+            note(&mut self.seen, id, (item, v));
+            if accepts(v) {
+                note(&mut self.accepted, id, (item, v));
+            }
+        }
+        for (pos, (u, v)) in graph.edges().enumerate() {
+            self.note_pair(ids[u], ids[v], (item, pos));
+        }
+    }
+
+    fn note_pair(&mut self, a: ViewId, b: ViewId, witness: Witness) {
+        note(&mut self.pairs, (a.min(b), a.max(b)), witness);
+    }
+
+    /// Merges `other` in: the element-wise minimum of the two summaries.
+    pub fn merge(&mut self, mut other: NbhdSummary) {
+        let len = |s: &NbhdSummary| s.seen.len() + s.pairs.len();
+        if len(&other) > len(self) {
+            std::mem::swap(self, &mut other);
+        }
+        for (id, w) in other.seen {
+            note(&mut self.seen, id, w);
+        }
+        for (id, w) in other.accepted {
+            note(&mut self.accepted, id, w);
+        }
+        for (pair, w) in other.pairs {
+            note(&mut self.pairs, pair, w);
+        }
+    }
+
+    /// Number of distinct views seen in a yes-instance.
+    pub fn views_seen(&self) -> usize {
+        self.seen.len()
+    }
+
+    /// Number of views accepted somewhere.
+    pub fn views_accepted(&self) -> usize {
+        self.accepted.len()
+    }
+
+    /// Number of candidate pairs: unordered pairs of views adjacent in a
+    /// yes-instance, self pairs included, accepted or not.
+    pub fn candidate_pairs(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// The summary's witnesses as portable lines (view ids stay behind),
+    /// grouped in [`SummaryLine`] order and strictly increasing.
+    pub(crate) fn wire_lines(&self) -> Vec<(SummaryLine, Witness)> {
+        let seen = self.seen.values().map(|&w| (SummaryLine::Seen, w));
+        let accepted = self.accepted.values().map(|&w| (SummaryLine::Accepted, w));
+        let pairs = self.pairs.values().map(|&w| (SummaryLine::Pair, w));
+        let mut lines: Vec<(SummaryLine, Witness)> = seen.chain(accepted).chain(pairs).collect();
+        lines.sort_unstable();
+        lines
+    }
+}
+
+/// The kind of one [`NbhdSummary`] wire line, in shipping order: a view's
+/// first occurrence (`v item node`), its first accept (`a item node`) and
+/// a candidate pair's first edge (`c item pos`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum SummaryLine {
+    Seen,
+    Accepted,
+    Pair,
+}
+
+impl SummaryLine {
+    const TAGS: [(&'static str, SummaryLine); 3] = [
+        ("v", SummaryLine::Seen),
+        ("a", SummaryLine::Accepted),
+        ("c", SummaryLine::Pair),
+    ];
+
+    /// The line's tag on the wire.
+    pub(crate) fn tag(self) -> &'static str {
+        SummaryLine::TAGS[self as usize].0
+    }
+
+    /// The kind a wire tag names, if any.
+    pub(crate) fn from_tag(tag: &str) -> Option<SummaryLine> {
+        let found = SummaryLine::TAGS.iter().find(|&&(t, _)| t == tag);
+        found.map(|&(_, line)| line)
+    }
+}
+
+/// The Lemma 3.1 construction as a [`PropertyCheck`], and the only one:
+/// inspection folds one labeled yes-instance into a [`NbhdSummary`]
+/// (no-instances yield nothing), each worker folds its items into one
+/// summary, and the reduce merges the summaries and materializes
+/// `V(D, n)`, optionally with the Lemma 3.2 hiding verdict and the
+/// extractability map ([`NbhdVerdict`]).
 ///
 /// Views are hash-consed through an owned [`ViewInterner`]: within one
 /// sweep every distinct view is stamped and stored once, and on the
 /// executor's delta path the digit-key front cache resolves repeat views
 /// without stamping at all. The interner is part of the check's state, so
-/// a budgeted/resumed chain must reuse the *same* check instance for its
-/// ids to stay meaningful (ids are opaque and run-specific; the reduce
-/// step derives all ordering from item order, never id order). A check
-/// instance is likewise tied to the universe it was built for.
+/// a resumed fragment chain must reuse the *same* check instance for its
+/// ids to stay meaningful (ids are opaque and run-specific; every ordering
+/// derives from witnesses, never from ids). A check instance is likewise
+/// tied to the universe it was built for.
 pub struct NbhdSweep<'a, D: ?Sized> {
     decoder: &'a D,
     id_mode: IdMode,
@@ -68,6 +226,22 @@ pub struct NbhdSweep<'a, D: ?Sized> {
     /// (evaluated once per block, not once per labeling).
     block_yes: Vec<bool>,
     interner: ViewInterner,
+    /// Palette size of the requested hiding verdict, if any.
+    hiding: Option<usize>,
+    /// Palette size of the requested extractability map, if any.
+    extractability: Option<usize>,
+}
+
+/// What an [`NbhdSweep`] reduces to: `V(D, ·)` plus the analyses the sweep
+/// was asked for.
+#[derive(Debug, Clone)]
+pub struct NbhdVerdict {
+    /// The neighborhood graph.
+    pub graph: NbhdGraph,
+    /// The Lemma 3.2 verdict, with [`NbhdSweep::with_hiding`].
+    pub hiding: Option<HidingVerdict>,
+    /// The extractability map, with [`NbhdSweep::with_extractability`].
+    pub extractability: Option<ExtractabilityMap>,
 }
 
 impl<'a, D: Decoder + ?Sized> NbhdSweep<'a, D> {
@@ -87,7 +261,23 @@ impl<'a, D: Decoder + ?Sized> NbhdSweep<'a, D> {
             id_mode,
             block_yes,
             interner: ViewInterner::new(),
+            hiding: None,
+            extractability: None,
         }
+    }
+
+    /// Also applies Lemma 3.2 for `k`-colorings, with the coverage read
+    /// off the universe ([`check_hiding`]).
+    pub fn with_hiding(mut self, k: usize) -> Self {
+        self.hiding = Some(k);
+        self
+    }
+
+    /// Also classifies the views by the `k`-colorability of their
+    /// components ([`ExtractabilityMap`]).
+    pub fn with_extractability(mut self, k: usize) -> Self {
+        self.extractability = Some(k);
+        self
     }
 
     /// `(front-cache hits, misses)` of the sweep's view interner so far: a
@@ -95,26 +285,6 @@ impl<'a, D: Decoder + ?Sized> NbhdSweep<'a, D> {
     /// the view.
     pub fn interner_stats(&self) -> (usize, usize) {
         self.interner.stats()
-    }
-
-    /// Rebuilds a [`NbhdScan`] from a serialized shard report: `accepts`
-    /// crossed the process boundary verbatim, while the view ids (run-local
-    /// interner handles) are re-derived by stamping every node's view of
-    /// `li` and interning it into *this* sweep's table. Reduce only ever
-    /// orders on item order, so re-interned ids are fully equivalent to the
-    /// originals.
-    pub(crate) fn reconstruct_scan(&self, li: &LabeledInstance, accepts: Vec<bool>) -> NbhdScan {
-        let radius = self.decoder.radius();
-        let n = li.graph().node_count();
-        assert_eq!(
-            accepts.len(),
-            n,
-            "shard scan acceptance flags must cover every node"
-        );
-        let view_ids = (0..n)
-            .map(|v| self.interner.intern(li.view(v, radius, self.id_mode)))
-            .collect();
-        NbhdScan { view_ids, accepts }
     }
 
     /// The id of node `v`'s view in the graph's id mode: digit-key front
@@ -139,11 +309,81 @@ impl<'a, D: Decoder + ?Sized> NbhdSweep<'a, D> {
         self.interner
             .intern(ctx.view(item, v, radius, self.id_mode))
     }
+
+    /// The one-item summary of a yes-instance item; `accepts(v)` is node
+    /// `v`'s verdict.
+    fn summarize(
+        &self,
+        item: &UniverseItem<'_>,
+        ctx: &ItemCtx<'_>,
+        accepts: impl Fn(usize) -> bool,
+    ) -> NbhdSummary {
+        let graph = item.instance.graph();
+        let ids: Vec<ViewId> = graph
+            .nodes()
+            .map(|v| self.intern_node(item, ctx, v))
+            .collect();
+        let mut summary = NbhdSummary::default();
+        summary.absorb(item.index, graph, &ids, accepts);
+        summary
+    }
+
+    /// Re-stamps one shipped summary line into `summary`, interning into
+    /// this sweep's table. The line is untrusted: `item` (already checked
+    /// to lie in the report's range) must be a yes-instance, `at` a node
+    /// or edge position of it, and an accept witness must be a node the
+    /// decoder accepts.
+    pub(crate) fn restamp(
+        &self,
+        universe: &Universe,
+        summary: &mut NbhdSummary,
+        line: SummaryLine,
+        (item, at): Witness,
+    ) -> Result<(), String> {
+        let (block, _) = universe.locate(item);
+        if !self.block_yes[block] {
+            return Err(format!(
+                "summary line at item {item} lies on a no-instance block"
+            ));
+        }
+        let li = universe.labeled_instance(item);
+        let graph = li.graph();
+        let limit = match line {
+            SummaryLine::Pair => graph.edge_count(),
+            _ => graph.node_count(),
+        };
+        if at >= limit {
+            return Err(format!(
+                "summary line `{} {item} {at}` names a node or edge its instance lacks",
+                line.tag()
+            ));
+        }
+        let radius = self.decoder.radius();
+        let id = |v: usize| self.interner.intern(li.view(v, radius, self.id_mode));
+        match line {
+            SummaryLine::Seen => note(&mut summary.seen, id(at), (item, at)),
+            SummaryLine::Accepted => {
+                let view = li.view(at, radius, self.decoder.id_mode());
+                if !self.decoder.decide(&view).is_accept() {
+                    return Err(format!(
+                        "accept witness `a {item} {at}` names a node the decoder rejects"
+                    ));
+                }
+                note(&mut summary.accepted, id(at), (item, at));
+            }
+            SummaryLine::Pair => {
+                // invariant: `at` was checked against the edge count.
+                let (u, v) = graph.edges().nth(at).expect("edge position in range");
+                summary.note_pair(id(u), id(v), (item, at));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl<D: Decoder + ?Sized> PropertyCheck for NbhdSweep<'_, D> {
-    type Partial = NbhdScan;
-    type Verdict = NbhdGraph;
+    type Partial = NbhdSummary;
+    type Verdict = NbhdVerdict;
 
     fn view_configs(&self) -> Vec<(usize, IdMode)> {
         vec![
@@ -152,21 +392,22 @@ impl<D: Decoder + ?Sized> PropertyCheck for NbhdSweep<'_, D> {
         ]
     }
 
-    fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<NbhdScan> {
+    fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<NbhdSummary> {
         if !self.block_yes[item.block] {
             return None;
         }
-        let n = item.instance.graph().node_count();
         let radius = self.decoder.radius();
-        let accepts = (0..n)
+        let accepts: Vec<bool> = item
+            .instance
+            .graph()
+            .nodes()
             .map(|v| {
                 self.decoder
                     .decide(&ctx.view(item, v, radius, self.decoder.id_mode()))
                     .is_accept()
             })
             .collect();
-        let view_ids = (0..n).map(|v| self.intern_node(item, ctx, v)).collect();
-        Some(NbhdScan { view_ids, accepts })
+        Some(self.summarize(item, ctx, |v| accepts[v]))
     }
 
     fn verdict_decoder(&self) -> Option<&dyn Decoder> {
@@ -177,6 +418,20 @@ impl<D: Decoder + ?Sized> PropertyCheck for NbhdSweep<'_, D> {
         // No-instance blocks are dropped before any verdict is read, so
         // the executor shouldn't maintain verdicts there at all.
         self.block_yes[block]
+    }
+
+    fn inspect_with_verdicts(
+        &self,
+        item: &UniverseItem<'_>,
+        verdicts: &[Verdict],
+        ctx: &ItemCtx<'_>,
+    ) -> Option<NbhdSummary> {
+        self.block_yes[item.block].then(|| self.summarize(item, ctx, |v| verdicts[v].is_accept()))
+    }
+
+    fn fold_partial(&self, acc: &mut NbhdSummary, next: NbhdSummary) -> Option<NbhdSummary> {
+        acc.merge(next);
+        None
     }
 
     // Automorphisms only: permuting an anonymous labeling permutes which
@@ -197,75 +452,46 @@ impl<D: Decoder + ?Sized> PropertyCheck for NbhdSweep<'_, D> {
         Some(self.interner.report())
     }
 
-    fn inspect_with_verdicts(
-        &self,
-        item: &UniverseItem<'_>,
-        verdicts: &[Verdict],
-        ctx: &ItemCtx<'_>,
-    ) -> Option<NbhdScan> {
-        if !self.block_yes[item.block] {
-            return None;
-        }
-        let n = item.instance.graph().node_count();
-        let accepts = verdicts.iter().map(|v| v.is_accept()).collect();
-        let view_ids = (0..n).map(|v| self.intern_node(item, ctx, v)).collect();
-        Some(NbhdScan { view_ids, accepts })
-    }
-
     fn reduce(
         &self,
         universe: &Universe,
-        partials: Vec<(usize, NbhdScan)>,
+        partials: Vec<(usize, NbhdSummary)>,
         _outcome: &SweepOutcome,
-    ) -> NbhdGraph {
-        // Resolve ids once; `at[id]` = the view's NbhdGraph index, filled
-        // in deterministic insertion order below (ids themselves are
-        // run-specific and never ordered on).
-        let table = self.interner.snapshot();
-        let mut at: Vec<Option<usize>> = vec![None; table.len()];
-        let mut nbhd = NbhdGraph::empty(self.decoder.radius(), self.id_mode);
-        // Pass 1, replaying `extend`: retained instances in item order,
-        // nodes in order, accepting views dedup-inserted.
-        let mut scans: Vec<NbhdScan> = Vec::with_capacity(partials.len());
-        for (item_idx, scan) in partials {
-            let inst_idx = nbhd.instances.len();
-            nbhd.instances.push(universe.labeled_instance(item_idx));
-            for (v, &id) in scan.view_ids.iter().enumerate() {
-                if !scan.accepts[v] || at[id as usize].is_some() {
-                    continue;
-                }
-                let view = &table[id as usize];
-                let idx = nbhd.views.len();
-                at[id as usize] = Some(idx);
-                nbhd.index.insert(view.clone(), idx);
-                nbhd.views.push(view.clone());
-                nbhd.adj.push(BTreeSet::new());
-                nbhd.view_witness.push((inst_idx, v));
-            }
-            scans.push(scan);
+    ) -> NbhdVerdict {
+        let mut summary = NbhdSummary::default();
+        for (_, partial) in partials {
+            summary.merge(partial);
         }
-        // Pass 2: yes-instance-compatibility edges over all retained
-        // instances, in the same order and with the same first-witness
-        // (`or_insert`) policy as `extend`.
-        for (inst_idx, scan) in scans.iter().enumerate() {
-            for (u, v) in nbhd.instances[inst_idx].graph().edges() {
-                let a = at[scan.view_ids[u] as usize];
-                let b = at[scan.view_ids[v] as usize];
-                if let (Some(a), Some(b)) = (a, b) {
-                    if a == b {
-                        nbhd.self_loops.entry(a).or_insert((inst_idx, (u, v)));
-                    } else {
-                        nbhd.adj[a].insert(b);
-                        nbhd.adj[b].insert(a);
-                        nbhd.edge_witness
-                            .entry((a.min(b), a.max(b)))
-                            .or_insert((inst_idx, (u, v)));
-                    }
-                }
-            }
+        let graph = NbhdGraph::materialize(
+            self.decoder.radius(),
+            self.id_mode,
+            &summary,
+            self.interner.snapshot(),
+            |item| universe.labeled_instance(item),
+        );
+        let hiding = self
+            .hiding
+            .map(|k| check_hiding(&graph, k, universe.coverage().into()));
+        let extractability = self
+            .extractability
+            .map(|k| ExtractabilityMap::new(&graph, k));
+        NbhdVerdict {
+            graph,
+            hiding,
+            extractability,
         }
-        nbhd
     }
+}
+
+/// What [`NbhdGraph::extend`] keeps between calls: its view interner,
+/// the summary of every instance fed so far, and the instances a witness
+/// of that summary names.
+#[derive(Debug, Clone, Default)]
+struct Growth {
+    interner: ViewInterner,
+    summary: NbhdSummary,
+    pending: BTreeMap<usize, LabeledInstance>,
+    items: usize,
 }
 
 /// The accepting neighborhood graph, with full provenance: every view and
@@ -304,7 +530,7 @@ pub struct NbhdGraph {
     views: Vec<View>,
     index: HashMap<View, usize>,
     adj: Vec<BTreeSet<usize>>,
-    /// For each view: (instance index, node) where it was accepted.
+    /// For each view: (instance index, node) where it was first accepted.
     view_witness: Vec<(usize, usize)>,
     /// For each edge (a < b): (instance index, edge endpoints) realizing
     /// yes-instance compatibility.
@@ -315,12 +541,18 @@ pub struct NbhdGraph {
     /// have to give one view two different colors), so by Lemma 3.2 it
     /// immediately certifies hiding.
     self_loops: HashMap<usize, (usize, (usize, usize))>,
-    /// The retained labeled yes-instances.
+    /// The witness instances, in iteration order.
     instances: Vec<LabeledInstance>,
+    /// Every view seen in a yes-instance, in first-occurrence order.
+    seen: Vec<View>,
+    /// The incremental state behind [`NbhdGraph::extend`]; `None` for a
+    /// graph reduced from a sweep.
+    growth: Option<Growth>,
 }
 
 impl NbhdGraph {
-    /// Lemma 3.1: constructs `V(D, ·)` over the given instance universe.
+    /// Lemma 3.1: constructs `V(D, ·)` over the given instance universe —
+    /// one [`NbhdGraph::extend`] of an empty graph.
     ///
     /// * Only instances whose graph satisfies `is_yes` participate
     ///   (labeled **yes**-instances; for `2-col` pass bipartiteness or the
@@ -342,18 +574,17 @@ impl NbhdGraph {
         D: Decoder + ?Sized,
         F: Fn(&Graph) -> bool,
     {
-        let universe = Universe::from_labeled(instances, Coverage::Sampled)
-            .expect("one item per materialized instance fits usize");
-        Self::from_sweep(decoder, id_mode, &universe, is_yes).verdict
+        let mut nbhd = NbhdGraph::empty(decoder.radius(), id_mode);
+        nbhd.extend(decoder, instances, is_yes);
+        nbhd
     }
 
     /// Lemma 3.1 on the verification engine: sweeps `universe` (see
-    /// [`crate::verify::Universe`] for exhaustive constructors) and returns
-    /// the neighborhood graph together with the sweep's
-    /// [`VerificationReport`] evidence — instances checked, view-cache
-    /// hits, elapsed time, thread count. [`NbhdGraph::build`] is this with
-    /// the evidence discarded; [`NbhdGraph::extend`] remains the
-    /// incremental sequential step for growing universes.
+    /// [`crate::verify::Universe`] for exhaustive constructors) with an
+    /// [`NbhdSweep`] and returns the neighborhood graph together with the
+    /// sweep's [`VerificationReport`] evidence — instances checked,
+    /// view-cache hits, elapsed time, thread count. Witness instances are
+    /// numbered in universe order.
     pub fn from_sweep<D, F>(
         decoder: &D,
         id_mode: IdMode,
@@ -365,7 +596,7 @@ impl NbhdGraph {
         F: Fn(&Graph) -> bool,
     {
         let check = NbhdSweep::new(decoder, id_mode, universe, is_yes);
-        SweepSession::over(universe).run(&check)
+        SweepSession::over(universe).run(&check).map(|v| v.graph)
     }
 
     /// An empty neighborhood graph, ready for [`NbhdGraph::extend`].
@@ -380,79 +611,156 @@ impl NbhdGraph {
             edge_witness: HashMap::new(),
             self_loops: HashMap::new(),
             instances: Vec::new(),
+            seen: Vec::new(),
+            growth: Some(Growth::default()),
         }
     }
 
     /// Incrementally grows the universe (the monotone step of Lemma 3.1:
     /// AViews and the compatibility relation only ever grow with n). New
-    /// instances are filtered by `is_yes`; accepting views are added; and
-    /// the compatibility edges are refreshed over **all** retained
-    /// instances, because a newly accepted view can activate an edge of an
-    /// older instance.
+    /// instances are filtered by `is_yes` and folded into the summary the
+    /// graph keeps, numbered after every earlier instance; the graph is
+    /// then materialized again, so a newly accepted view activates the
+    /// edges older instances witnessed. The graph keeps the instances a
+    /// witness of its summary names, pending pairs included.
     ///
     /// # Panics
     ///
-    /// Panics if `decoder.radius()` differs from the graph's radius.
+    /// Panics if `decoder.radius()` differs from the graph's radius, or if
+    /// the graph was reduced from a sweep ([`NbhdGraph::from_sweep`], the
+    /// property checks): a sweep keeps only the witness instances of the
+    /// edges it materialized, not those of pairs a later view could
+    /// activate.
     pub fn extend<D, F>(&mut self, decoder: &D, instances: Vec<LabeledInstance>, is_yes: F)
     where
         D: Decoder + ?Sized,
         F: Fn(&Graph) -> bool,
     {
         assert_eq!(decoder.radius(), self.radius, "radius mismatch");
-        let first_new = self.instances.len();
-        self.instances
-            .extend(instances.into_iter().filter(|li| is_yes(li.graph())));
-        // Pass 1 over the new instances: accepting views.
-        for inst_idx in first_new..self.instances.len() {
-            let li = &self.instances[inst_idx];
-            let verdicts = run(decoder, li);
-            for v in li.graph().nodes() {
-                if !verdicts[v].is_accept() {
+        let mut growth = self
+            .growth
+            .take()
+            .expect("extend grows graphs from `empty` or `build`, not a sweep's");
+        for li in instances.into_iter().filter(|li| is_yes(li.graph())) {
+            let item = growth.items;
+            growth.items += 1;
+            let verdicts = run(decoder, &li);
+            let ids: Vec<ViewId> = li
+                .graph()
+                .nodes()
+                .map(|v| {
+                    growth
+                        .interner
+                        .intern(li.view(v, self.radius, self.id_mode))
+                })
+                .collect();
+            growth
+                .summary
+                .absorb(item, li.graph(), &ids, |v| verdicts[v].is_accept());
+            growth.pending.insert(item, li);
+        }
+        let summary = &growth.summary;
+        let named = summary.accepted.values().chain(summary.pairs.values());
+        let referenced: BTreeSet<usize> = named.map(|&(item, _)| item).collect();
+        growth.pending.retain(|item, _| referenced.contains(item));
+        let mut grown = NbhdGraph::materialize(
+            self.radius,
+            self.id_mode,
+            &growth.summary,
+            growth.interner.snapshot(),
+            |item| growth.pending[&item].clone(),
+        );
+        grown.growth = Some(growth);
+        *self = grown;
+    }
+
+    /// The materialization shared by the sweep's reduce and
+    /// [`NbhdGraph::extend`]: accepted views in first-accept order, live
+    /// pairs as edges or self-loops, witnesses renumbered into the witness
+    /// instances (`instance(item)` clones one). `table` maps view ids to
+    /// views.
+    fn materialize(
+        radius: usize,
+        id_mode: IdMode,
+        summary: &NbhdSummary,
+        table: Vec<View>,
+        instance: impl Fn(usize) -> LabeledInstance,
+    ) -> NbhdGraph {
+        // invariant: every id the summary names was minted by the table's
+        // interner, and `seen` takes each id's view once.
+        let mut table: Vec<Option<View>> = table.into_iter().map(Some).collect();
+        let view_of = |table: &[Option<View>], id: ViewId| {
+            table[id as usize]
+                .clone()
+                .expect("summary ids index the table")
+        };
+        let mut accepted: Vec<(Witness, ViewId)> =
+            summary.accepted.iter().map(|(&id, &w)| (w, id)).collect();
+        accepted.sort_unstable();
+        let at: HashMap<ViewId, usize> = accepted
+            .iter()
+            .enumerate()
+            .map(|(idx, &(_, id))| (id, idx))
+            .collect();
+        let mut live: Vec<(Witness, usize, usize)> = summary
+            .pairs
+            .iter()
+            .filter_map(|(&(a, b), &w)| Some((w, *at.get(&a)?, *at.get(&b)?)))
+            .collect();
+        live.sort_unstable();
+        let items: BTreeSet<usize> = accepted
+            .iter()
+            .map(|&((item, _), _)| item)
+            .chain(live.iter().map(|&((item, _), _, _)| item))
+            .collect();
+        let number: HashMap<usize, usize> = items
+            .iter()
+            .enumerate()
+            .map(|(k, &item)| (item, k))
+            .collect();
+
+        let mut nbhd = NbhdGraph::empty(radius, id_mode);
+        nbhd.growth = None;
+        nbhd.instances = items.iter().map(|&item| instance(item)).collect();
+        for &((item, node), id) in &accepted {
+            let view = view_of(&table, id);
+            nbhd.index.insert(view.clone(), nbhd.views.len());
+            nbhd.views.push(view);
+            nbhd.adj.push(BTreeSet::new());
+            nbhd.view_witness.push((number[&item], node));
+        }
+        for ((item, pos), a, b) in live {
+            let inst = number[&item];
+            // invariant: a pair witness names an edge position of its item.
+            let edge = nbhd.instances[inst]
+                .graph()
+                .edges()
+                .nth(pos)
+                .expect("pair witness names an edge");
+            if a == b {
+                #[cfg(conformance_mutants)]
+                if crate::mutants::active("nbhd_selfloop_dropped") {
                     continue;
                 }
-                let view = li.view(v, self.radius, self.id_mode);
-                if !self.index.contains_key(&view) {
-                    let idx = self.views.len();
-                    self.index.insert(view.clone(), idx);
-                    self.views.push(view);
-                    self.adj.push(BTreeSet::new());
-                    self.view_witness.push((inst_idx, v));
-                }
+                nbhd.self_loops.insert(a, (inst, edge));
+            } else {
+                nbhd.adj[a].insert(b);
+                nbhd.adj[b].insert(a);
+                nbhd.edge_witness.insert((a.min(b), a.max(b)), (inst, edge));
             }
         }
-        // Pass 2 over ALL instances: yes-instance-compatibility edges.
-        // Note the definition only requires both endpoint views to lie in
-        // AViews — the witnessing nodes need not accept in the witnessing
-        // instance, and older instances can contribute fresh edges once
-        // new views exist.
-        for inst_idx in 0..self.instances.len() {
-            let li = self.instances[inst_idx].clone();
-            for (u, v) in li.graph().edges() {
-                let a = self
-                    .index
-                    .get(&li.view(u, self.radius, self.id_mode))
-                    .copied();
-                let b = self
-                    .index
-                    .get(&li.view(v, self.radius, self.id_mode))
-                    .copied();
-                if let (Some(a), Some(b)) = (a, b) {
-                    if a == b {
-                        #[cfg(conformance_mutants)]
-                        if crate::mutants::active("nbhd_selfloop_dropped") {
-                            continue;
-                        }
-                        self.self_loops.entry(a).or_insert((inst_idx, (u, v)));
-                    } else {
-                        self.adj[a].insert(b);
-                        self.adj[b].insert(a);
-                        self.edge_witness
-                            .entry((a.min(b), a.max(b)))
-                            .or_insert((inst_idx, (u, v)));
-                    }
-                }
-            }
-        }
+        let mut seen: Vec<(Witness, ViewId)> =
+            summary.seen.iter().map(|(&id, &w)| (w, id)).collect();
+        seen.sort_unstable();
+        nbhd.seen = seen
+            .into_iter()
+            .map(|(_, id)| {
+                table[id as usize]
+                    .take()
+                    .expect("summary ids index the table")
+            })
+            .collect();
+        nbhd
     }
 
     /// The verification radius `r`.
@@ -504,12 +812,21 @@ impl NbhdGraph {
         self.adj.get(a).is_some_and(|s| s.contains(&b))
     }
 
-    /// The retained labeled yes-instances.
+    /// The witness instances: the labeled yes-instances some view, edge
+    /// or self-loop witness points into, in the order they were folded.
+    /// Other yes-instances are not retained.
     pub fn instances(&self) -> &[LabeledInstance] {
         &self.instances
     }
 
-    /// The instance+node where view `i` was first accepted.
+    /// Every view (in the graph's id mode) of every node of a folded
+    /// yes-instance, accepted or not, deduplicated in first-occurrence
+    /// order.
+    pub fn seen_views(&self) -> &[View] {
+        &self.seen
+    }
+
+    /// The witness instance and node where view `i` was first accepted.
     pub fn view_witness(&self, i: usize) -> (usize, usize) {
         self.view_witness[i]
     }
@@ -774,30 +1091,76 @@ mod tests {
         assert!(dot.contains("[self-loop]"));
     }
 
+    /// Equality of every observable, witnesses compared by the instance
+    /// they name.
+    fn assert_same_graph(a: &NbhdGraph, b: &NbhdGraph, what: &str) {
+        let named =
+            |g: &NbhdGraph, (idx, at): (usize, (usize, usize))| (g.instances()[idx].clone(), at);
+        assert_eq!(a.views(), b.views(), "{what}: views");
+        assert_eq!(a.seen_views(), b.seen_views(), "{what}: seen views");
+        assert_eq!(a.edge_count(), b.edge_count(), "{what}: edges");
+        assert_eq!(a.self_loop_views(), b.self_loop_views(), "{what}: loops");
+        for i in 0..a.view_count() {
+            let (ia, va) = a.view_witness(i);
+            let (ib, vb) = b.view_witness(i);
+            assert_eq!(
+                (&a.instances()[ia], va),
+                (&b.instances()[ib], vb),
+                "{what}: view {i}"
+            );
+            assert!(a.neighbors(i).eq(b.neighbors(i)), "{what}: view {i} nbrs");
+            for j in a.neighbors(i) {
+                let wa = a.edge_witness(i, j).map(|w| named(a, w));
+                assert_eq!(wa, b.edge_witness(i, j).map(|w| named(b, w)), "{what}");
+            }
+            let wa = a.self_loop_witness(i).map(|w| named(a, w));
+            assert_eq!(wa, b.self_loop_witness(i).map(|w| named(b, w)), "{what}");
+        }
+    }
+
     #[test]
     fn incremental_extension_matches_batch_build() {
+        let half_bad = Instance::canonical(generators::cycle(6)).with_labeling(Labeling::new(
+            [0u8, 1, 0, 1, 1, 1].map(Certificate::from_byte).to_vec(),
+        ));
+        let odd = Instance::canonical(generators::cycle(5))
+            .with_labeling(Labeling::uniform(5, Certificate::from_byte(0)));
         let universe = vec![
             two_colored_cycle(4),
+            half_bad,
+            odd,
             two_colored_cycle(6),
+            Instance::canonical(generators::path(3)).with_labeling(
+                [0u8, 1, 0]
+                    .map(Certificate::from_byte)
+                    .into_iter()
+                    .collect(),
+            ),
             two_colored_cycle(8),
         ];
         let batch = NbhdGraph::build(&LocalDiff, IdMode::Anonymous, universe.clone(), |g| {
             bipartite::is_bipartite(g)
         });
-        let mut incremental = NbhdGraph::empty(1, IdMode::Anonymous);
-        for li in universe {
-            incremental.extend(&LocalDiff, vec![li], bipartite::is_bipartite);
+        let swept = NbhdGraph::from_sweep(
+            &LocalDiff,
+            IdMode::Anonymous,
+            &Universe::from_labeled(universe.clone(), crate::verify::Coverage::Sampled)
+                .expect("six instances fit"),
+            bipartite::is_bipartite,
+        )
+        .verdict;
+        assert_same_graph(&batch, &swept, "build vs sweep");
+        let mut one_by_one = NbhdGraph::empty(1, IdMode::Anonymous);
+        for li in universe.clone() {
+            one_by_one.extend(&LocalDiff, vec![li], bipartite::is_bipartite);
         }
-        assert_eq!(incremental.view_count(), batch.view_count());
-        assert_eq!(incremental.edge_count(), batch.edge_count());
-        assert_eq!(incremental.self_loop_views(), batch.self_loop_views());
-        for i in 0..batch.view_count() {
-            let j = incremental.index_of(batch.view(i)).expect("same views");
-            let batch_nbrs: Vec<_> = batch.neighbors(i).map(|x| batch.view(x).clone()).collect();
-            for nbr in batch_nbrs {
-                let jn = incremental.index_of(&nbr).unwrap();
-                assert!(incremental.has_edge(j, jn));
-            }
+        assert_same_graph(&one_by_one, &batch, "one by one");
+        for split in 0..=universe.len() {
+            let mut incremental = NbhdGraph::empty(1, IdMode::Anonymous);
+            let (head, tail) = universe.split_at(split);
+            incremental.extend(&LocalDiff, head.to_vec(), bipartite::is_bipartite);
+            incremental.extend(&LocalDiff, tail.to_vec(), bipartite::is_bipartite);
+            assert_same_graph(&incremental, &batch, &format!("split at {split}"));
         }
     }
 

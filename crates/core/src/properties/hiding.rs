@@ -10,11 +10,10 @@
 //!   full Lemma 3.1 sweep for the size bound in question: **not hiding
 //!   (at this n)**, and [`crate::extract`] actually builds the extractor.
 
-use crate::decoder::{Decoder, Verdict};
-use crate::nbhd::{NbhdGraph, NbhdScan, NbhdSweep};
+use crate::decoder::Decoder;
+use crate::nbhd::{NbhdGraph, NbhdSweep, NbhdVerdict};
 use crate::verify::{
-    Coverage, DynPropertyCheck, ItemCtx, PropertyCheck, PropertyTag, SweepOutcome, SweepSession,
-    Universe, UniverseItem, VerificationReport,
+    Coverage, DynPropertyCheck, PropertyTag, SweepSession, Universe, VerificationReport,
 };
 use crate::view::IdMode;
 use hiding_lcp_graph::Graph;
@@ -105,85 +104,12 @@ pub fn check_hiding(nbhd: &NbhdGraph, k: usize, coverage: UniverseCoverage) -> H
     }
 }
 
-/// The hiding property as a sweepable check: the Lemma 3.1 scan feeding
-/// the Lemma 3.2 colorability test, with the coverage read off the
-/// universe's type.
-pub struct HidingCheck<'a, D: ?Sized> {
-    sweep: NbhdSweep<'a, D>,
-    k: usize,
-}
-
-impl<'a, D: Decoder + ?Sized> HidingCheck<'a, D> {
-    /// Prepares a hiding check of `decoder` for `k`-colorings, over
-    /// yes-instances per `is_yes`, with anonymous extractor views (the
-    /// hiding definition quantifies over anonymous decoders `D'`).
-    pub fn new<F>(decoder: &'a D, universe: &Universe, k: usize, is_yes: F) -> Self
-    where
-        F: Fn(&Graph) -> bool,
-    {
-        HidingCheck {
-            sweep: NbhdSweep::new(decoder, IdMode::Anonymous, universe, is_yes),
-            k,
-        }
-    }
-}
-
-impl<D: Decoder + ?Sized> PropertyCheck for HidingCheck<'_, D> {
-    type Partial = NbhdScan;
-    type Verdict = (NbhdGraph, HidingVerdict);
-
-    fn view_configs(&self) -> Vec<(usize, IdMode)> {
-        self.sweep.view_configs()
-    }
-
-    fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<NbhdScan> {
-        self.sweep.inspect(item, ctx)
-    }
-
-    fn verdict_decoder(&self) -> Option<&dyn Decoder> {
-        self.sweep.verdict_decoder()
-    }
-
-    fn uses_verdicts(&self, block: usize) -> bool {
-        self.sweep.uses_verdicts(block)
-    }
-
-    fn inspect_with_verdicts(
-        &self,
-        item: &UniverseItem<'_>,
-        verdicts: &[Verdict],
-        ctx: &ItemCtx<'_>,
-    ) -> Option<NbhdScan> {
-        self.sweep.inspect_with_verdicts(item, verdicts, ctx)
-    }
-
-    fn symmetry_class(
-        &self,
-        alphabet: &[crate::label::Certificate],
-    ) -> Option<crate::verify::SymmetrySpec> {
-        self.sweep.symmetry_class(alphabet)
-    }
-
-    fn interner_report(&self) -> Option<crate::verify::InternerReport> {
-        self.sweep.interner_report()
-    }
-
-    fn reduce(
-        &self,
-        universe: &Universe,
-        partials: Vec<(usize, NbhdScan)>,
-        outcome: &SweepOutcome,
-    ) -> (NbhdGraph, HidingVerdict) {
-        let nbhd = self.sweep.reduce(universe, partials, outcome);
-        let verdict = check_hiding(&nbhd, self.k, universe.coverage().into());
-        (nbhd, verdict)
-    }
-}
-
-/// [`HidingCheck`] as a panel member: joined to `decoder`'s verdict
-/// channel, so a fused audit maintains one delta-evaluated verdict vector
-/// for every member built on the same decoder object. As with the plain
-/// check, the member is tied to the universe it was built for.
+/// The hiding property as a panel member: the Lemma 3.1 scan
+/// ([`NbhdSweep`], anonymous extractor views — the hiding definition
+/// quantifies over anonymous decoders `D'`) with its Lemma 3.2 verdict,
+/// joined to `decoder`'s verdict channel, so a fused audit maintains one
+/// delta-evaluated verdict vector for every member built on the same
+/// decoder object. The member is tied to the universe it was built for.
 pub fn hiding_member<'a, F>(
     decoder: &'a dyn Decoder,
     universe: &Universe,
@@ -196,8 +122,9 @@ where
     DynPropertyCheck::with_summary(
         PropertyTag::Hiding,
         "hiding",
-        HidingCheck::new(decoder, universe, k, is_yes),
-        |(_, v): &(NbhdGraph, HidingVerdict)| hiding_line(v),
+        NbhdSweep::new(decoder, IdMode::Anonymous, universe, is_yes).with_hiding(k),
+        // invariant: `with_hiding` makes the reduce fill `hiding`.
+        |v: &NbhdVerdict| hiding_line(v.hiding.as_ref().expect("hiding analysis requested")),
     )
     .with_channel(decoder)
 }
@@ -224,7 +151,8 @@ pub(crate) fn hiding_line(verdict: &HidingVerdict) -> (Option<bool>, String) {
 /// comes with the neighborhood graph (for witness extraction) and the
 /// sweep's execution evidence.
 ///
-/// Runs on [`SweepSession::run`], itself a one-member panel walk.
+/// Runs an [`NbhdSweep`] with anonymous extractor views on
+/// [`SweepSession::run`], itself a one-member panel walk.
 pub fn verify_hiding<D, F>(
     decoder: &D,
     universe: &Universe,
@@ -235,7 +163,12 @@ where
     D: Decoder + ?Sized,
     F: Fn(&Graph) -> bool,
 {
-    SweepSession::over(universe).run(&HidingCheck::new(decoder, universe, k, is_yes))
+    let check = NbhdSweep::new(decoder, IdMode::Anonymous, universe, is_yes).with_hiding(k);
+    SweepSession::over(universe).run(&check).map(|v| {
+        // invariant: `with_hiding` makes the reduce fill `hiding`.
+        let hiding = v.hiding.expect("hiding analysis requested");
+        (v.graph, hiding)
+    })
 }
 
 #[cfg(test)]

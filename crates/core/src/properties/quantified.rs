@@ -18,12 +18,10 @@
 //! scores 1.0 (the coloring is hidden *everywhere*, matching the paper's
 //! emphasis) while the degree-one LCP hides only near the `⊥`/`⊤` pocket.
 
-use crate::decoder::{Decoder, Verdict};
+use crate::decoder::Decoder;
 use crate::instance::LabeledInstance;
-use crate::nbhd::{NbhdGraph, NbhdScan, NbhdSweep};
-use crate::verify::{
-    DynPropertyCheck, ItemCtx, PropertyCheck, PropertyTag, SweepOutcome, Universe, UniverseItem,
-};
+use crate::nbhd::{NbhdGraph, NbhdSweep, NbhdVerdict};
+use crate::verify::{DynPropertyCheck, PropertyTag, Universe};
 use crate::view::IdMode;
 use hiding_lcp_graph::algo::{bipartite, coloring, components};
 use hiding_lcp_graph::Graph;
@@ -101,84 +99,12 @@ impl ExtractabilityMap {
     }
 }
 
-/// The quantified-hiding analysis as a sweepable check: one Lemma 3.1
-/// sweep produces `V(D, ·)`, whose components are then classified by
-/// k-colorability.
-pub struct QuantifiedCheck<'a, D: ?Sized> {
-    sweep: NbhdSweep<'a, D>,
-    k: usize,
-}
-
-impl<'a, D: Decoder + ?Sized> QuantifiedCheck<'a, D> {
-    /// Prepares the analysis of `decoder` for palette size `k` over the
-    /// yes-instances of `universe` (anonymous extractor views).
-    pub fn new<F>(decoder: &'a D, universe: &Universe, k: usize, is_yes: F) -> Self
-    where
-        F: Fn(&Graph) -> bool,
-    {
-        QuantifiedCheck {
-            sweep: NbhdSweep::new(decoder, IdMode::Anonymous, universe, is_yes),
-            k,
-        }
-    }
-}
-
-impl<D: Decoder + ?Sized> PropertyCheck for QuantifiedCheck<'_, D> {
-    type Partial = NbhdScan;
-    type Verdict = (NbhdGraph, ExtractabilityMap);
-
-    fn view_configs(&self) -> Vec<(usize, IdMode)> {
-        self.sweep.view_configs()
-    }
-
-    fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<NbhdScan> {
-        self.sweep.inspect(item, ctx)
-    }
-
-    fn verdict_decoder(&self) -> Option<&dyn Decoder> {
-        self.sweep.verdict_decoder()
-    }
-
-    fn uses_verdicts(&self, block: usize) -> bool {
-        self.sweep.uses_verdicts(block)
-    }
-
-    fn inspect_with_verdicts(
-        &self,
-        item: &UniverseItem<'_>,
-        verdicts: &[Verdict],
-        ctx: &ItemCtx<'_>,
-    ) -> Option<NbhdScan> {
-        self.sweep.inspect_with_verdicts(item, verdicts, ctx)
-    }
-
-    fn symmetry_class(
-        &self,
-        alphabet: &[crate::label::Certificate],
-    ) -> Option<crate::verify::SymmetrySpec> {
-        self.sweep.symmetry_class(alphabet)
-    }
-
-    fn interner_report(&self) -> Option<crate::verify::InternerReport> {
-        self.sweep.interner_report()
-    }
-
-    fn reduce(
-        &self,
-        universe: &Universe,
-        partials: Vec<(usize, NbhdScan)>,
-        outcome: &SweepOutcome,
-    ) -> (NbhdGraph, ExtractabilityMap) {
-        let nbhd = self.sweep.reduce(universe, partials, outcome);
-        let map = ExtractabilityMap::new(&nbhd, self.k);
-        (nbhd, map)
-    }
-}
-
-/// [`QuantifiedCheck`] as a panel member: joined to `decoder`'s verdict
-/// channel, so a fused audit maintains one delta-evaluated verdict vector
-/// for every member built on the same decoder object. As with the plain
-/// check, the member is tied to the universe it was built for.
+/// The quantified-hiding analysis as a panel member: the Lemma 3.1 scan
+/// ([`NbhdSweep`], anonymous extractor views) classifying the components
+/// of `V(D, ·)` by k-colorability, joined to `decoder`'s verdict channel,
+/// so a fused audit maintains one delta-evaluated verdict vector for
+/// every member built on the same decoder object. The member is tied to
+/// the universe it was built for.
 pub fn quantified_member<'a, F>(
     decoder: &'a dyn Decoder,
     universe: &Universe,
@@ -191,8 +117,12 @@ where
     DynPropertyCheck::with_summary(
         PropertyTag::Quantified,
         "quantified",
-        QuantifiedCheck::new(decoder, universe, k, is_yes),
-        |(nbhd, map): &(NbhdGraph, ExtractabilityMap)| quantified_line(nbhd, map),
+        NbhdSweep::new(decoder, IdMode::Anonymous, universe, is_yes).with_extractability(k),
+        |v: &NbhdVerdict| {
+            // invariant: `with_extractability` makes the reduce fill it.
+            let map = v.extractability.as_ref();
+            quantified_line(&v.graph, map.expect("extractability requested"))
+        },
     )
     .with_channel(decoder)
 }
@@ -302,8 +232,15 @@ mod tests {
         let li = two_colored_cycle(6);
         let universe = Universe::from_labeled(vec![li.clone()], crate::verify::Coverage::Sampled)
             .expect("one labeled instance fits");
-        let check = QuantifiedCheck::new(&LocalDiff, &universe, 2, bipartite::is_bipartite);
-        let (nbhd, map) = SweepSession::over(&universe).run(&check).verdict;
+        let check = NbhdSweep::new(
+            &LocalDiff,
+            IdMode::Anonymous,
+            &universe,
+            bipartite::is_bipartite,
+        )
+        .with_extractability(2);
+        let verdict = SweepSession::over(&universe).run(&check).verdict;
+        let (nbhd, map) = (verdict.graph, verdict.extractability.expect("requested"));
         let manual = NbhdGraph::build(&LocalDiff, IdMode::Anonymous, vec![li.clone()], |g| {
             bipartite::is_bipartite(g)
         });

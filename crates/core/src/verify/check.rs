@@ -12,6 +12,9 @@
 //!   decides the sweep (e.g. a soundness violation). The executor then
 //!   stops at the *lowest-index* short-circuiting item, so parallel and
 //!   sequential execution report the identical witness.
+//! * [`PropertyCheck::fold_partial`] lets a check keep one running
+//!   partial per worker instead of one per item, when its partials merge
+//!   in any order (the Lemma 3.1 scan's first-witness summary).
 //! * [`PropertyCheck::reduce`] folds the surviving partials — delivered in
 //!   item order — into the final verdict.
 
@@ -93,6 +96,20 @@ pub trait PropertyCheck: Sync {
         false
     }
 
+    /// Folds `next`, the partial of a later item, into `acc`, the same
+    /// worker's previous partial, and returns `None`; or hands `next`
+    /// back to be recorded on its own (the default, one partial per
+    /// item). A folding check's partials must merge associatively and
+    /// commutatively, since workers, resumed fragments and shards fold
+    /// in any order and [`reduce`] then receives one partial per fold
+    /// chain, keyed by the chain's first item. Such a check must never
+    /// short-circuit: the stop truncation drops partials by key.
+    ///
+    /// [`reduce`]: PropertyCheck::reduce
+    fn fold_partial(&self, _acc: &mut Self::Partial, next: Self::Partial) -> Option<Self::Partial> {
+        Some(next)
+    }
+
     /// The symmetries this check's partials and verdict are invariant
     /// under on an `All`-labeled block with the given certificate
     /// alphabet. Returning `Some` opts the check into the
@@ -167,6 +184,10 @@ impl<C: PropertyCheck> PropertyCheck for &C {
 
     fn short_circuits(&self, partial: &Self::Partial) -> bool {
         (**self).short_circuits(partial)
+    }
+
+    fn fold_partial(&self, acc: &mut Self::Partial, next: Self::Partial) -> Option<Self::Partial> {
+        (**self).fold_partial(acc, next)
     }
 
     fn symmetry_class(&self, alphabet: &[Certificate]) -> Option<SymmetrySpec> {

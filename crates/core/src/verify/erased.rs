@@ -97,6 +97,7 @@ trait ErasedCheck: Sync {
         ctx: &ItemCtx<'_>,
     ) -> Option<ErasedPartial>;
     fn short_circuits(&self, partial: &ErasedPartial) -> bool;
+    fn fold_partial(&self, acc: &mut ErasedPartial, next: ErasedPartial) -> Option<ErasedPartial>;
     fn symmetry_class(&self, alphabet: &[Certificate]) -> Option<SymmetrySpec>;
     fn interner_report(&self) -> Option<InternerReport>;
     fn reduce(
@@ -160,6 +161,18 @@ where
             .downcast_ref::<C::Partial>()
             .expect("panel partial belongs to this member");
         self.check.short_circuits(partial)
+    }
+
+    fn fold_partial(&self, acc: &mut ErasedPartial, next: ErasedPartial) -> Option<ErasedPartial> {
+        let acc = acc
+            .downcast_mut::<C::Partial>()
+            .expect("panel partial belongs to this member");
+        let next = next
+            .downcast::<C::Partial>()
+            .expect("panel partial belongs to this member");
+        self.check
+            .fold_partial(acc, *next)
+            .map(|p| Box::new(p) as ErasedPartial)
     }
 
     fn symmetry_class(&self, alphabet: &[Certificate]) -> Option<SymmetrySpec> {
@@ -319,6 +332,10 @@ impl PropertyCheck for DynPropertyCheck<'_> {
 
     fn short_circuits(&self, partial: &ErasedPartial) -> bool {
         self.inner.short_circuits(partial)
+    }
+
+    fn fold_partial(&self, acc: &mut ErasedPartial, next: ErasedPartial) -> Option<ErasedPartial> {
+        self.inner.fold_partial(acc, next)
     }
 
     fn symmetry_class(&self, alphabet: &[Certificate]) -> Option<SymmetrySpec> {

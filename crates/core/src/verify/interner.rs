@@ -129,6 +129,19 @@ pub struct ViewInterner {
     contention: AtomicUsize,
 }
 
+/// A clone re-interns the table in id order, so every id names the same
+/// view in both; the clone's front cache and counters start empty.
+impl Clone for ViewInterner {
+    fn clone(&self) -> Self {
+        let clone = ViewInterner::new();
+        for view in self.snapshot() {
+            clone.intern(view);
+        }
+        clone.misses.store(0, Ordering::Relaxed);
+        clone
+    }
+}
+
 impl Default for ViewInterner {
     fn default() -> Self {
         ViewInterner::new()

@@ -93,7 +93,7 @@ pub use shard::{
 pub use symmetry::SymmetrySpec;
 pub use telemetry::{MetricsRecorder, MetricsSnapshot, SweepCounter, SweepPhase, SweepRecorder};
 pub use universe::{
-    Block, Coverage, LabelSource, OwnedItem, Universe, UniverseItem, UniverseOverflow,
+    Block, Coverage, LabelSource, Lemma31Error, OwnedItem, Universe, UniverseItem, UniverseOverflow,
 };
 
 #[cfg(test)]

@@ -733,10 +733,18 @@ fn walk_chunks(
                 let active = |m: usize| i <= stop_at[m].load(Ordering::Relaxed);
                 let record = |m: usize, r: Result<Option<ErasedPartial>, SweepError>| match r {
                     Ok(Some(p)) => {
-                        if engine.checks[m].short_circuits(&p) {
+                        let check = &engine.checks[m];
+                        if check.short_circuits(&p) {
                             stop_at[m].fetch_min(stop_index(i), Ordering::Relaxed);
                         }
-                        members[m].partials.push((i, p));
+                        let partials = &mut members[m].partials;
+                        let unfolded = match partials.last_mut() {
+                            Some((_, last)) => check.fold_partial(last, p),
+                            None => Some(p),
+                        };
+                        if let Some(p) = unfolded {
+                            partials.push((i, p));
+                        }
                     }
                     Ok(None) => {}
                     Err(e) => members[m].errors.push(e),

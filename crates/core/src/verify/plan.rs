@@ -29,13 +29,13 @@ use crate::decoder::Decoder;
 use crate::instance::{Instance, LabeledInstance};
 use crate::label::Certificate;
 use crate::language::KCol;
-use crate::nbhd::{NbhdGraph, NbhdScan, NbhdSweep};
+use crate::nbhd::{NbhdSummary, NbhdSweep, NbhdVerdict, SummaryLine, Witness};
 use crate::network::{degradation_sweep, DegradationReport};
 use crate::properties::completeness::completeness_member;
 use crate::properties::erasure::{erased_labeling, erasure_member};
-use crate::properties::hiding::{check_hiding, hiding_line, HidingVerdict};
+use crate::properties::hiding::hiding_line;
 use crate::properties::invariance::{anonymity_universe, invariance_member};
-use crate::properties::quantified::{quantified_line, ExtractabilityMap};
+use crate::properties::quantified::quantified_line;
 use crate::properties::soundness::{SoundnessCheck, SoundnessViolation};
 use crate::properties::strong::{strong_member, StrongViolation};
 use crate::prover::Prover;
@@ -103,6 +103,10 @@ impl<C: PropertyCheck> PropertyCheck for BlockGated<C> {
         self.check.short_circuits(partial)
     }
 
+    fn fold_partial(&self, acc: &mut Self::Partial, next: Self::Partial) -> Option<Self::Partial> {
+        self.check.fold_partial(acc, next)
+    }
+
     // Gating is symmetry-neutral: inactive blocks inspect to `None` for
     // every orbit member alike, active blocks inherit the inner check's
     // invariance.
@@ -124,84 +128,10 @@ impl<C: PropertyCheck> PropertyCheck for BlockGated<C> {
     }
 }
 
-/// Hiding and quantified extractability are two reductions of the *same*
-/// Lemma 3.1 neighborhood graph, and the scan building it dominates both.
-/// The labelings panel therefore carries one scan member whenever either
-/// is wanted: it builds `V(D, ·)` once and reduces it into the wanted
-/// analyses only. [`split_nbhd_member`] turns its verdict into one report
-/// line per wanted property, with the text the standalone
-/// [`hiding_member`](crate::properties::hiding::hiding_member) and
-/// [`quantified_member`](crate::properties::quantified::quantified_member)
-/// produce.
-struct NbhdAnalyses<'a> {
-    sweep: NbhdSweep<'a, dyn Decoder + 'a>,
-    k: usize,
-    hiding: bool,
-    quantified: bool,
-}
-
-/// The scan member's verdict: the neighborhood graph, plus the hiding
-/// verdict and the extractability map when wanted.
-type NbhdVerdict = (NbhdGraph, Option<HidingVerdict>, Option<ExtractabilityMap>);
-
-impl PropertyCheck for NbhdAnalyses<'_> {
-    type Partial = NbhdScan;
-    type Verdict = NbhdVerdict;
-
-    fn view_configs(&self) -> Vec<(usize, IdMode)> {
-        self.sweep.view_configs()
-    }
-
-    fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<NbhdScan> {
-        self.sweep.inspect(item, ctx)
-    }
-
-    fn verdict_decoder(&self) -> Option<&dyn Decoder> {
-        self.sweep.verdict_decoder()
-    }
-
-    fn uses_verdicts(&self, block: usize) -> bool {
-        self.sweep.uses_verdicts(block)
-    }
-
-    fn inspect_with_verdicts(
-        &self,
-        item: &UniverseItem<'_>,
-        verdicts: &[crate::decoder::Verdict],
-        ctx: &ItemCtx<'_>,
-    ) -> Option<NbhdScan> {
-        self.sweep.inspect_with_verdicts(item, verdicts, ctx)
-    }
-
-    fn symmetry_class(&self, alphabet: &[Certificate]) -> Option<SymmetrySpec> {
-        self.sweep.symmetry_class(alphabet)
-    }
-
-    fn interner_report(&self) -> Option<InternerReport> {
-        self.sweep.interner_report()
-    }
-
-    fn reduce(
-        &self,
-        universe: &Universe,
-        partials: Vec<(usize, NbhdScan)>,
-        outcome: &SweepOutcome,
-    ) -> NbhdVerdict {
-        let nbhd = self.sweep.reduce(universe, partials, outcome);
-        let verdict = self
-            .hiding
-            .then(|| check_hiding(&nbhd, self.k, universe.coverage().into()));
-        let map = self
-            .quantified
-            .then(|| ExtractabilityMap::new(&nbhd, self.k));
-        (nbhd, verdict, map)
-    }
-}
-
 /// The wire shape of one labelings-panel member's partials in a shard
 /// report. Partials are reconstructed, not shipped whole: every concrete
-/// partial is derivable from its item index plus a small payload, so a
-/// report stays a few text lines even when the universe is huge.
+/// partial is derivable from item indices plus small payloads, so a
+/// report stays a few text lines per violation or summary witness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MemberKind {
     /// [`SoundnessViolation`] — the item index alone (the labeling is
@@ -209,11 +139,11 @@ enum MemberKind {
     Sound,
     /// [`StrongViolation`] — item index plus the accepting node list.
     Strong,
-    /// [`NbhdScan`] — item index plus per-node acceptance bits. View ids
-    /// are run-local interner handles and never cross the process
-    /// boundary; the merging side re-interns
-    /// ([`NbhdSweep::reconstruct_scan`]).
-    Scan,
+    /// The Lemma 3.1 scan's [`NbhdSummary`], merged into one and shipped
+    /// as its witnesses ([`NbhdSummary::wire_lines`]). View ids are
+    /// run-local interner handles and never cross the process boundary;
+    /// the merging side re-stamps each witness ([`NbhdSweep::restamp`]).
+    Summary,
 }
 
 impl MemberKind {
@@ -221,7 +151,7 @@ impl MemberKind {
         match self {
             MemberKind::Sound => "sound",
             MemberKind::Strong => "strong",
-            MemberKind::Scan => "scan",
+            MemberKind::Summary => "summary",
         }
     }
 }
@@ -229,8 +159,8 @@ impl MemberKind {
 /// The labelings panel's concrete checks, owned separately from the
 /// erased member list. [`LabelingsMembers::members`] borrows them (via
 /// the blanket `&C: PropertyCheck` impl), so the shard-merge path can
-/// keep the scan around after the fragments come back and re-intern
-/// shipped scans into the very instance whose `reduce` will run. The
+/// keep the scan around after the fragments come back and re-stamp
+/// shipped summaries into the very instance whose `reduce` will run. The
 /// ordinary [`AuditPlan::run`] path builds its panel through the same
 /// constructor, so a merged report cannot drift from a live one.
 struct LabelingsMembers<'p> {
@@ -238,7 +168,10 @@ struct LabelingsMembers<'p> {
     language: &'p KCol,
     soundness: Option<BlockGated<SoundnessCheck<'p, dyn Decoder + 'p>>>,
     strong: bool,
-    nbhd: Option<NbhdAnalyses<'p>>,
+    /// The one Lemma 3.1 scan, whenever hiding or quantified is wanted,
+    /// carrying only the wanted analyses; tagged hiding when it carries
+    /// the hiding verdict.
+    nbhd: Option<(PropertyTag, NbhdSweep<'p, dyn Decoder + 'p>)>,
 }
 
 impl<'p> LabelingsMembers<'p> {
@@ -255,13 +188,24 @@ impl<'p> LabelingsMembers<'p> {
         });
         let hiding = plan.wants(PropertyTag::Hiding);
         let quantified = plan.wants(PropertyTag::Quantified);
-        let nbhd = (hiding || quantified).then(|| NbhdAnalyses {
-            sweep: NbhdSweep::new(plan.decoder, IdMode::Anonymous, universe, |g: &Graph| {
-                plan.language.is_yes_graph(g)
-            }),
-            k: plan.language.k(),
-            hiding,
-            quantified,
+        let k = plan.language.k();
+        let nbhd = (hiding || quantified).then(|| {
+            let mut sweep =
+                NbhdSweep::new(plan.decoder, IdMode::Anonymous, universe, |g: &Graph| {
+                    plan.language.is_yes_graph(g)
+                });
+            if hiding {
+                sweep = sweep.with_hiding(k);
+            }
+            if quantified {
+                sweep = sweep.with_extractability(k);
+            }
+            let tag = if hiding {
+                PropertyTag::Hiding
+            } else {
+                PropertyTag::Quantified
+            };
+            (tag, sweep)
         });
         LabelingsMembers {
             decoder: plan.decoder,
@@ -277,7 +221,7 @@ impl<'p> LabelingsMembers<'p> {
         [
             (self.soundness.is_some(), MemberKind::Sound),
             (self.strong, MemberKind::Strong),
-            (self.nbhd.is_some(), MemberKind::Scan),
+            (self.nbhd.is_some(), MemberKind::Summary),
         ]
         .into_iter()
         .filter_map(|(wanted, kind)| wanted.then_some(kind))
@@ -312,14 +256,10 @@ impl<'p> LabelingsMembers<'p> {
         if self.strong {
             members.push(strong_member(self.decoder, self.language));
         }
-        if let Some(check) = &self.nbhd {
-            let tag = if check.hiding {
-                PropertyTag::Hiding
-            } else {
-                PropertyTag::Quantified
-            };
-            members
-                .push(DynPropertyCheck::new(tag, "lemma31-scan", check).with_channel(self.decoder));
+        if let Some((tag, check)) = &self.nbhd {
+            members.push(
+                DynPropertyCheck::new(*tag, "lemma31-scan", check).with_channel(self.decoder),
+            );
         }
         members
     }
@@ -383,64 +323,50 @@ impl<'p> LabelingsMembers<'p> {
                     accepting,
                 }))
             }
-            MemberKind::Scan => {
-                let payload = payload.ok_or_else(|| {
-                    format!("scan partial at item {item} lacks its acceptance bits")
-                })?;
-                let accepts = payload
-                    .chars()
-                    .map(|c| match c {
-                        '0' => Ok(false),
-                        '1' => Ok(true),
-                        other => Err(format!("bad acceptance bit `{other}` at item {item}")),
-                    })
-                    .collect::<Result<Vec<bool>, _>>()?;
-                if accepts.len() != n {
-                    return Err(format!(
-                        "scan at item {item} carries {} bits, instance has {n} nodes",
-                        accepts.len()
-                    ));
-                }
-                let scan = self.nbhd.as_ref().ok_or_else(|| {
-                    "scan partial but the plan wants no neighborhood member".to_string()
-                })?;
-                Ok(Box::new(scan.sweep.reconstruct_scan(&li, accepts)))
-            }
+            MemberKind::Summary => Err(format!(
+                "`p` line at item {item} for a summary member, which ships `v`, `a` and `c` lines"
+            )),
         }
     }
 }
 
-/// Renders one typed partial as its wire payload line.
-fn serialize_partial(kind: MemberKind, item: usize, partial: &ErasedPartial) -> String {
-    match kind {
-        MemberKind::Sound => format!("p {item}\n"),
-        MemberKind::Strong => {
-            // invariant: `kinds()` tags a member `Strong` only when it
-            // wraps a `StrongCheck`, whose partial is a `StrongViolation`.
-            let v = partial
-                .downcast_ref::<StrongViolation>()
-                .expect("strong member partial is a StrongViolation");
-            if v.accepting.is_empty() {
-                format!("p {item} -\n")
-            } else {
-                let list: Vec<String> = v.accepting.iter().map(ToString::to_string).collect();
-                format!("p {item} {}\n", list.join(","))
-            }
+/// Renders one member's partials as wire lines: one `p` line per
+/// violation, or the merged summary's witness lines.
+fn serialize_partials(kind: MemberKind, partials: Vec<(usize, ErasedPartial)>) -> String {
+    let mut out = String::new();
+    if kind == MemberKind::Summary {
+        let mut summary = NbhdSummary::default();
+        for (_, partial) in partials {
+            // invariant: `kinds()` tags a member `Summary` only when it
+            // wraps the `NbhdSweep`, whose partial is an `NbhdSummary`.
+            let partial = partial
+                .downcast::<NbhdSummary>()
+                .expect("summary member partial is an NbhdSummary");
+            summary.merge(*partial);
         }
-        MemberKind::Scan => {
-            // invariant: `kinds()` tags a member `Scan` only when it wraps
-            // the `NbhdAnalyses` scan, whose partial is an `NbhdScan`.
-            let scan = partial
-                .downcast_ref::<NbhdScan>()
-                .expect("scan member partial is an NbhdScan");
-            let bits: String = scan
-                .accepts()
-                .iter()
-                .map(|&b| if b { '1' } else { '0' })
-                .collect();
-            format!("p {item} {bits}\n")
+        for (line, (item, at)) in summary.wire_lines() {
+            out.push_str(&format!("{} {item} {at}\n", line.tag()));
+        }
+        return out;
+    }
+    for (item, partial) in partials {
+        if kind == MemberKind::Sound {
+            out.push_str(&format!("p {item}\n"));
+            continue;
+        }
+        // invariant: `kinds()` tags a member `Strong` only when it wraps a
+        // `StrongCheck`, whose partial is a `StrongViolation`.
+        let v = partial
+            .downcast_ref::<StrongViolation>()
+            .expect("strong member partial is a StrongViolation");
+        if v.accepting.is_empty() {
+            out.push_str(&format!("p {item} -\n"));
+        } else {
+            let list: Vec<String> = v.accepting.iter().map(ToString::to_string).collect();
+            out.push_str(&format!("p {item} {}\n", list.join(",")));
         }
     }
+    out
 }
 
 /// Escapes a free-form string onto one wire line.
@@ -678,7 +604,8 @@ impl<'a> AuditPlan<'a> {
     /// When the labelings universe cannot be built: an
     /// [`InstanceSet::Explicit`] family whose labelings overflow the flat
     /// index space, or an [`InstanceSet::Lemma31`] family past
-    /// [`Universe::lemma31`]'s limits.
+    /// [`Universe::lemma31`]'s limits ([`Universe::lemma31_graphs`]
+    /// reports the latter as an error without building a block).
     pub fn run(&self) -> AuditReport {
         let mut report = self.fresh_report();
         if let Some(r) = self.attached() {
@@ -995,14 +922,12 @@ impl<'a> AuditPlan<'a> {
         out.push_str(&format!("shard {}\n", shard.label()));
         out.push_str(&format!("range {} {}\n", fragment.lo, fragment.hi));
         out.push_str(&format!("next {}\n", fragment.next));
-        for (m, frontier) in fragment.members.iter().enumerate() {
+        for (m, frontier) in fragment.members.into_iter().enumerate() {
             let stop = frontier
                 .stop_at
                 .map_or_else(|| "-".to_string(), |s| s.to_string());
             out.push_str(&format!("member {m} {} {stop}\n", kinds[m].wire()));
-            for (item, partial) in &frontier.partials {
-                out.push_str(&serialize_partial(kinds[m], *item, partial));
-            }
+            out.push_str(&serialize_partials(kinds[m], frontier.partials));
             for e in &frontier.errors {
                 out.push_str(&format!("e {} {}\n", e.item_index, wire_escape(&e.payload)));
             }
@@ -1111,6 +1036,16 @@ impl<'a> AuditPlan<'a> {
         let mut range: Option<(usize, usize)> = None;
         let mut next = None;
         let mut members: Vec<MemberFrontier> = Vec::new();
+        // The summary member's summary under reconstruction, with its last
+        // line; it becomes the member's one partial when its section ends.
+        let mut summary: Option<(NbhdSummary, Option<(SummaryLine, Witness)>)> = None;
+        let flush = |members: &mut Vec<MemberFrontier>, summary: &mut Option<_>, lo: usize| {
+            if let (Some((built, Some(_))), Some(frontier)) = (summary.take(), members.last_mut()) {
+                frontier
+                    .partials
+                    .push((lo, Box::new(built) as ErasedPartial));
+            }
+        };
         let mut counters: Vec<(String, u64)> = Vec::new();
         let mut ended = false;
         for line in lines {
@@ -1138,6 +1073,26 @@ impl<'a> AuditPlan<'a> {
                     ))
                 }
             };
+            if let Some(kind) = SummaryLine::from_tag(tag) {
+                let (item, at) = rest
+                    .split_once(' ')
+                    .ok_or_else(|| format!("bad summary line `{line}`"))?;
+                let witness = (in_range("item", item)?, parse_usize("node or edge", at)?);
+                let Some((built, last)) = summary.as_mut() else {
+                    return Err(format!(
+                        "shard report line `{line}` outside a summary member"
+                    ));
+                };
+                if last.is_some_and(|prev| (kind, witness) <= prev) {
+                    return Err(format!("shard report line `{line}` is out of order"));
+                }
+                *last = Some((kind, witness));
+                // invariant: `kinds` describes these checks, so a summary
+                // member exists whenever a summary is being built.
+                let (_, sweep) = checks.nbhd.as_ref().expect("summary member has a scan");
+                sweep.restamp(universe, built, kind, witness)?;
+                continue;
+            }
             match tag {
                 "decoder" => {
                     let name = wire_unescape(rest);
@@ -1219,6 +1174,10 @@ impl<'a> AuditPlan<'a> {
                     } else {
                         Some(in_range("stop index", stop)?)
                     };
+                    // A summary line needs the range, so a summary built
+                    // before the range line is empty and the key unused.
+                    flush(&mut members, &mut summary, range.map_or(0, |(lo, _)| lo));
+                    summary = (want == MemberKind::Summary).then(|| (NbhdSummary::default(), None));
                     members.push(MemberFrontier {
                         stop_at,
                         partials: Vec::new(),
@@ -1282,6 +1241,7 @@ impl<'a> AuditPlan<'a> {
             return Err("shard report is torn: no `end shardreport` trailer".to_string());
         }
         let (lo, hi) = range.ok_or_else(|| "shard report lacks a range line".to_string())?;
+        flush(&mut members, &mut summary, lo);
         let next = next.ok_or_else(|| "shard report lacks a next line".to_string())?;
         if !(lo..=hi).contains(&next) {
             return Err(format!(
@@ -1658,7 +1618,7 @@ fn summarize_labelings(shape: &str, panel: &PanelReport) -> AuditPanelReport {
 /// [`AuditReport`] reads the same whether one scan served one property
 /// or two.
 fn split_nbhd_member(summary: &mut AuditPanelReport, panel: &PanelReport) {
-    let Some((index, (nbhd, hiding, map))) = panel
+    let Some((index, verdict)) = panel
         .members
         .iter()
         .enumerate()
@@ -1667,12 +1627,15 @@ fn split_nbhd_member(summary: &mut AuditPanelReport, panel: &PanelReport) {
         return;
     };
     let base = summary.members.remove(index);
-    let lines = hiding
+    let lines = verdict
+        .hiding
         .iter()
         .map(|v| (PropertyTag::Hiding, hiding_line(v)))
         .chain(
-            map.iter()
-                .map(|m| (PropertyTag::Quantified, quantified_line(nbhd, m))),
+            verdict
+                .extractability
+                .iter()
+                .map(|m| (PropertyTag::Quantified, quantified_line(&verdict.graph, m))),
         );
     for (offset, (tag, (passed, detail))) in lines.enumerate() {
         let line = AuditMemberReport {
@@ -1948,8 +1911,9 @@ mod tests {
     /// and out-of-range or out-of-order item indices must fail the merge;
     /// swapping two adjacent lines, or replacing a numeric token by the
     /// universe size or `u64::MAX`, must fail it or leave it unchanged.
-    /// No case may panic: each runs under `catch_unwind`, so a failure
-    /// names its case.
+    /// A forged accept witness on a rejecting node and a summary line on
+    /// a no-instance block must fail it. No case may panic: each runs
+    /// under `catch_unwind`, so a failure names its case.
     #[test]
     fn shard_merge_survives_adversarial_reports() {
         let plan = || AuditPlan::new(&LocalDiff, 2, family(), bits()).seed(7);
@@ -1975,6 +1939,31 @@ mod tests {
         };
         let join =
             |lines: &[String]| -> String { lines.iter().map(|l| l.clone() + "\n").collect() };
+        // Partial lines: violations (`p`) and summary witnesses.
+        let is_partial = |line: &str| ["p ", "v ", "a ", "c "].iter().any(|t| line.starts_with(t));
+        // Shard `s`'s report with every line tagged `tag` replaced by one
+        // forged `line`, which keeps the lines in order.
+        let forge = |s: usize, tag: &str, line: String| {
+            let mut lines: Vec<String> = reports[s].lines().map(str::to_string).collect();
+            let at = lines
+                .iter()
+                .position(|l| l.starts_with(tag))
+                .expect("tagged line");
+            lines.retain(|l| !l.starts_with(tag));
+            lines.insert(at, line);
+            join(&lines)
+        };
+        // Shard 0 holds every yes-instance. Its item 0 labels C4 all-zero,
+        // so every node rejects; its item 25 is on C5, a no-instance.
+        let merge_forged = |tag: &str, line: &str| {
+            let forged = vec![forge(0, tag, line.into()), reports[1].clone()];
+            check(format!("forged `{line}`"), 0, forged[0].clone(), true);
+            plan().run_with_shards(&forged).unwrap_err()
+        };
+        let err = merge_forged("a ", "a 0 0");
+        assert!(err.contains("rejects"), "accept witness re-decided: {err}");
+        let err = merge_forged("c ", "c 25 0");
+        assert!(err.contains("no-instance"), "pair block checked: {err}");
         let mut items_tampered = 0;
         for (s, report) in reports.iter().enumerate() {
             let (lo, hi) = ShardSpec::new(s, 2).range(n);
@@ -1994,7 +1983,7 @@ mod tests {
                 if i > 0 {
                     let mut swapped = lines.clone();
                     swapped.swap(i - 1, i);
-                    let reordered = lines[i - 1].starts_with("p ") && lines[i].starts_with("p ");
+                    let reordered = is_partial(&lines[i - 1]) && is_partial(&lines[i]);
                     check(
                         format!("shard {s} line {i} up"),
                         s,
@@ -2007,7 +1996,7 @@ mod tests {
                     if token.parse::<u64>().is_err() {
                         continue;
                     }
-                    let item = t == 1 && tokens[0] == "p";
+                    let item = t == 1 && is_partial(&lines[i]);
                     let mut values = vec![n as u64, u64::MAX];
                     if item {
                         items_tampered += 1;

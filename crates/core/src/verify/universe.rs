@@ -45,6 +45,45 @@ impl fmt::Display for UniverseOverflow {
 
 impl std::error::Error for UniverseOverflow {}
 
+/// Largest node count [`Universe::lemma31`] enumerates graphs for.
+const LEMMA31_MAX_N: usize = 8;
+
+/// Most port assignments [`Universe::lemma31`] builds blocks for on one
+/// graph: every assignment is an eagerly built block.
+const LEMMA31_PORT_CAP: u128 = 100_000;
+
+/// Why [`Universe::lemma31`] cannot build its universe. The node and port
+/// limits are checked before any block is built.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Lemma31Error {
+    /// `max_n` exceeds the graph enumerator's limit of 8 nodes.
+    TooManyNodes(usize),
+    /// A graph, named by its edge list, admits `∏ d(v)!` (saturating)
+    /// port assignments, more than the 10⁵ blocks built per graph.
+    TooManyPorts(Vec<(usize, usize)>, u128),
+    /// The item count overflows the flat index space.
+    Overflow(UniverseOverflow),
+}
+
+impl fmt::Display for Lemma31Error {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Lemma31Error::TooManyNodes(max_n) => write!(
+                f,
+                "max-n {max_n} exceeds the Lemma 3.1 graph enumerator's limit of {LEMMA31_MAX_N} nodes"
+            ),
+            Lemma31Error::TooManyPorts(edges, count) => write!(
+                f,
+                "the graph with edges {edges:?} admits {count} port assignments (∏ d(v)!), \
+                 more than the {LEMMA31_PORT_CAP} the Lemma 3.1 universe builds blocks for"
+            ),
+            Lemma31Error::Overflow(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for Lemma31Error {}
+
 /// Whether a universe provably contains every instance/labeling pair of the
 /// family it describes, or only a sample of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -300,19 +339,20 @@ impl Universe {
     /// counterpart of [`crate::nbhd::sources::exhaustive_universe`] (same
     /// family, same order, without materializing the labelings).
     ///
-    /// # Panics
-    ///
-    /// Panics if `max_n > 8` (inherited from the graph enumerator) or if a
-    /// single graph admits more than 10⁵ port assignments.
-    pub fn lemma31(max_n: usize, alphabet: Vec<Certificate>) -> Result<Universe, UniverseOverflow> {
+    /// Fails with a [`Lemma31Error`] past 8 nodes, or when a graph admits
+    /// more than 10⁵ port assignments
+    /// (K5 already has 4!^5), both checked by [`Universe::lemma31_graphs`]
+    /// before any block is built.
+    pub fn lemma31(max_n: usize, alphabet: Vec<Certificate>) -> Result<Universe, Lemma31Error> {
         let mut blocks = Vec::new();
-        for g in generators::connected_graphs_up_to(max_n) {
+        for g in Universe::lemma31_graphs(max_n)? {
             let ids = hiding_lcp_graph::IdAssignment::canonical(g.node_count());
-            for ports in hiding_lcp_graph::ports::all_port_assignments(&g, 100_000) {
-                // invariant: `connected_graphs_up_to` caps n at 8 and
-                // `all_port_assignments` yields permutations of each
-                // node's own ports, so the id/port vectors always match
-                // the graph they were enumerated from.
+            // invariant: `lemma31_graphs` checked the count against the cap.
+            let all = hiding_lcp_graph::ports::all_port_assignments(&g, usize::MAX);
+            for ports in all {
+                // invariant: `all_port_assignments` yields permutations of
+                // each node's own ports, so the id/port vectors always
+                // match the graph they were enumerated from.
                 let instance = Instance::new(g.clone(), ports, ids.clone())
                     .expect("enumerated assignments fit");
                 blocks.push(Block::new(
@@ -323,7 +363,29 @@ impl Universe {
                 ));
             }
         }
-        Universe::new(blocks, Coverage::Exhaustive)
+        Universe::new(blocks, Coverage::Exhaustive).map_err(Lemma31Error::Overflow)
+    }
+
+    /// The graphs of [`Universe::lemma31`]'s family, checked against its
+    /// limits without building a block: node counts are enumerated in
+    /// order, so an oversized family fails at its first oversized graph
+    /// and larger node counts are never enumerated.
+    pub fn lemma31_graphs(max_n: usize) -> Result<Vec<Graph>, Lemma31Error> {
+        if max_n > LEMMA31_MAX_N {
+            return Err(Lemma31Error::TooManyNodes(max_n));
+        }
+        let mut graphs = Vec::new();
+        for g in (1..=max_n).flat_map(generators::connected_graphs_on) {
+            let factorial = |d: usize| (1..=d as u128).product::<u128>();
+            let count = g
+                .nodes()
+                .fold(1u128, |c, v| c.saturating_mul(factorial(g.degree(v))));
+            if count > LEMMA31_PORT_CAP {
+                return Err(Lemma31Error::TooManyPorts(g.edges().collect(), count));
+            }
+            graphs.push(g);
+        }
+        Ok(graphs)
     }
 
     /// A sampled universe of id/port variants: each graph is crossed with

@@ -26,18 +26,19 @@
 //! [`SweepError`]: hiding_lcp_core::verify::SweepError
 
 use hiding_lcp_core::instance::Instance;
+use hiding_lcp_core::instance::LabeledInstance;
 use hiding_lcp_core::label::{Certificate, Labeling};
 use hiding_lcp_core::language::KCol;
 use hiding_lcp_core::lower::PortObliviousCycleDecoder;
-use hiding_lcp_core::nbhd::NbhdGraph;
-use hiding_lcp_core::properties::hiding::HidingCheck;
+use hiding_lcp_core::nbhd::{NbhdGraph, NbhdSweep, NbhdVerdict};
+use hiding_lcp_core::properties::hiding::hiding_member;
 use hiding_lcp_core::properties::soundness::{SoundnessCheck, SoundnessViolation};
 use hiding_lcp_core::properties::strong::{StrongCheck, StrongViolation};
 use hiding_lcp_core::prover::all_labelings;
 use hiding_lcp_core::verify::{
     merge_panel_fragments, Block, Coverage, DynPropertyCheck, ExecMode, ItemCtx, LabelSource,
-    LazySweep, PropertyCheck, PropertyTag, ShardSpec, SweepBudget, SweepOpts, SweepOutcome,
-    SweepSession, Universe, UniverseItem, VerificationReport,
+    LazySweep, PanelReport, PropertyCheck, PropertyTag, ShardSpec, SweepBudget, SweepOpts,
+    SweepOutcome, SweepSession, Universe, UniverseItem, VerificationReport,
 };
 use hiding_lcp_core::view::IdMode;
 use hiding_lcp_graph::algo::bipartite;
@@ -174,22 +175,29 @@ fn mixed_universe(n: usize) -> Universe {
 
 /// Structural equality of two neighborhood graphs — `NbhdGraph` has no
 /// `PartialEq`, so compare every observable: views (in insertion order),
-/// adjacency, self-loops and all witnesses.
+/// seen views, adjacency, self-loops and all witnesses. A witness indexes
+/// its own graph's witness instances, so witnesses compare by the
+/// instance they name, not by index.
 fn assert_nbhd_eq(a: &NbhdGraph, b: &NbhdGraph) -> Result<(), TestCaseError> {
+    fn named<T>(g: &NbhdGraph, (idx, at): (usize, T)) -> (&LabeledInstance, T) {
+        (&g.instances()[idx], at)
+    }
     prop_assert_eq!(a.view_count(), b.view_count());
     prop_assert_eq!(a.views(), b.views());
+    prop_assert_eq!(a.seen_views(), b.seen_views());
     prop_assert_eq!(a.edge_count(), b.edge_count());
     prop_assert_eq!(a.self_loop_views(), b.self_loop_views());
-    prop_assert_eq!(a.instances().len(), b.instances().len());
     for i in 0..a.view_count() {
-        prop_assert_eq!(a.view_witness(i), b.view_witness(i));
+        prop_assert_eq!(named(a, a.view_witness(i)), named(b, b.view_witness(i)));
         let na: Vec<usize> = a.neighbors(i).collect();
         let nb: Vec<usize> = b.neighbors(i).collect();
         prop_assert_eq!(&na, &nb);
         for &j in &na {
-            prop_assert_eq!(a.edge_witness(i, j), b.edge_witness(i, j));
+            let wa = a.edge_witness(i, j).map(|w| named(a, w));
+            prop_assert_eq!(wa, b.edge_witness(i, j).map(|w| named(b, w)));
         }
-        prop_assert_eq!(a.self_loop_witness(i), b.self_loop_witness(i));
+        let wa = a.self_loop_witness(i).map(|w| named(a, w));
+        prop_assert_eq!(wa, b.self_loop_witness(i).map(|w| named(b, w)));
     }
     Ok(())
 }
@@ -443,11 +451,12 @@ proptest! {
         let decoder = PortObliviousCycleDecoder::from_code(code);
         let universe = cycle_blocks_universe(n);
         let run = |mode: ExecMode, opts: SweepOpts| {
-            let check = HidingCheck::new(&decoder, &universe, 2, bipartite::is_bipartite);
+            let check = NbhdSweep::new(&decoder, IdMode::Anonymous, &universe, bipartite::is_bipartite)
+                .with_hiding(2);
             SweepSession::over(&universe).mode(mode).opts(opts).run(&check)
         };
         let reference = run(ExecMode::Parallel(1), SweepOpts::oracle());
-        let (ref_nbhd, ref_verdict) = &reference.verdict;
+        let (ref_nbhd, ref_verdict) = (&reference.verdict.graph, &reference.verdict.hiding);
         let memo_off = SweepOpts { memo: false, ..SweepOpts::default() };
         for (mode, opts) in [
             (ExecMode::Parallel(1), SweepOpts::default()),
@@ -455,8 +464,8 @@ proptest! {
             (ExecMode::Parallel(parity_threads()), memo_off),
         ] {
             let other = run(mode, opts);
-            assert_nbhd_eq(ref_nbhd, &other.verdict.0)?;
-            prop_assert_eq!(ref_verdict, &other.verdict.1);
+            assert_nbhd_eq(ref_nbhd, &other.verdict.graph)?;
+            prop_assert_eq!(ref_verdict, &other.verdict.hiding);
             prop_assert_eq!(reference.checked, other.checked);
             prop_assert_eq!(reference.universe_size, other.universe_size);
         }
@@ -620,7 +629,8 @@ proptest! {
         code in 0u8..64, n in 3usize..8, step in 5usize..40,
     ) {
         // A budget-interrupted fragment walk is the continuation of the
-        // interrupted run under the same budget: finishing it with
+        // interrupted run under the same budget (the hiding member's
+        // first-witness summaries included): finishing it with
         // `resume_panel_fragment` and merging it alone must reproduce the
         // uninterrupted panel, at every execution mode and strategy. The
         // symmetric cycle makes the quotient bite, and n = 7 (128 items)
@@ -640,6 +650,7 @@ proptest! {
                 language: &two_col,
             })
             .with_channel(&decoder),
+            hiding_member(&decoder, &universe, 2, bipartite::is_bipartite),
         ];
         let modes = [
             ExecMode::Parallel(1),
@@ -681,6 +692,13 @@ proptest! {
                     prop_assert_eq!(a.verdict.passed, b.verdict.passed);
                     prop_assert_eq!(&a.verdict.detail, &b.verdict.detail);
                 }
+                // The hiding member's summaries folded across workers and
+                // resumed slices materialize the uninterrupted graph.
+                fn graph(panel: &PanelReport) -> &NbhdGraph {
+                    let verdict = panel.members[2].verdict.get::<NbhdVerdict>();
+                    &verdict.expect("the hiding member reduces to an NbhdVerdict").graph
+                }
+                assert_nbhd_eq(graph(&full), graph(&merged))?;
             }
         }
     }
@@ -874,7 +892,8 @@ proptest! {
             .collect();
         let universe = Universe::new(blocks, Coverage::Sampled).expect("small universe fits");
         let run = |opts: SweepOpts| {
-            let check = HidingCheck::new(&decoder, &universe, 2, bipartite::is_bipartite);
+            let check = NbhdSweep::new(&decoder, IdMode::Anonymous, &universe, bipartite::is_bipartite)
+                .with_hiding(2);
             SweepSession::over(&universe)
                 .mode(ExecMode::Parallel(1))
                 .opts(opts)
@@ -882,8 +901,8 @@ proptest! {
         };
         let full = run(SweepOpts::default());
         let quot = run(SweepOpts::quotient());
-        let (full_nbhd, full_verdict) = &full.verdict;
-        let (quot_nbhd, quot_verdict) = &quot.verdict;
+        let (full_nbhd, full_verdict) = (&full.verdict.graph, &full.verdict.hiding);
+        let (quot_nbhd, quot_verdict) = (&quot.verdict.graph, &quot.verdict.hiding);
         prop_assert_eq!(full_verdict, quot_verdict);
         prop_assert_eq!(full_nbhd.view_count(), quot_nbhd.view_count());
         prop_assert_eq!(full_nbhd.views(), quot_nbhd.views());

@@ -201,7 +201,7 @@ mod enabled {
         let first = plan.run_shard(shard);
         assert!(first.contains("counter items_walked "), "{first}");
         assert!(
-            first.contains(" scan -\n"),
+            first.contains(" summary -\n"),
             "the hiding scan walks the shard: {first}"
         );
         assert!(!first.contains("counter cache_hits "), "{first}");

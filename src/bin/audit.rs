@@ -27,7 +27,7 @@ use hiding_lcp_core::label::Certificate;
 use hiding_lcp_core::prover::Prover;
 use hiding_lcp_core::verify::{
     run_shards, AuditPlan, AuditReport, ExecMode, FaultSpec, InstanceSet, MetricsRecorder,
-    PropertyTag, ShardSpec, SweepBudget, SweepOpts, SweepRecorder, ALL_PROPERTIES,
+    PropertyTag, ShardSpec, SweepBudget, SweepOpts, SweepRecorder, Universe, ALL_PROPERTIES,
 };
 use std::time::Duration;
 
@@ -258,6 +258,12 @@ fn main() -> ExitCode {
         > 1
     {
         eprintln!("audit: --shard, --shards and --shards-from are mutually exclusive");
+        return ExitCode::from(2);
+    }
+    // The family's limits, checked without building a block (the plan
+    // builds the universe once, when it runs).
+    if let Err(e) = Universe::lemma31_graphs(args.max_n) {
+        eprintln!("audit: {e}");
         return ExitCode::from(2);
     }
 

@@ -49,6 +49,22 @@ fn audit_rejects_bad_invocations() {
     }
 }
 
+/// A Lemma 3.1 family past the eager build's limits is a typed error,
+/// reported before any panel runs: `--max-n 5` names K5's graph and its
+/// 4!^5 port assignments, `--max-n 9` the graph enumerator's limit.
+#[test]
+fn audit_refuses_oversized_families() {
+    for decoder in ["degree-one", "even-cycle"] {
+        let stderr = assert_rejected(AUDIT, &["--decoder", decoder, "--max-n", "5"]);
+        assert!(stderr.contains("port assignments"), "{decoder}: {stderr}");
+        assert!(stderr.contains("(∏ d(v)!)"), "{decoder}: {stderr}");
+    }
+    let stderr = assert_rejected(AUDIT, &["--max-n", "5", "--shards", "2"]);
+    assert!(stderr.contains("port assignments"), "{stderr}");
+    let stderr = assert_rejected(AUDIT, &["--max-n", "9"]);
+    assert!(stderr.contains("limit of 8 nodes"), "{stderr}");
+}
+
 /// A shard report is untrusted input: an item index outside the report's
 /// range fails the merge with exit 2 and an error naming the item, instead
 /// of panicking inside the universe lookup.
@@ -67,8 +83,8 @@ fn audit_merge_rejects_an_out_of_range_item() {
     }
     let first = dir.join("shard-0.txt");
     let report = std::fs::read_to_string(&first).expect("shard 0 report");
-    assert!(report.contains("\np 0 1\n"), "{report}");
-    std::fs::write(&first, report.replace("\np 0 1\n", "\np 99999 1\n")).expect("tamper");
+    assert!(report.contains("\nv 0 0\n"), "{report}");
+    std::fs::write(&first, report.replace("\nv 0 0\n", "\nv 99999 0\n")).expect("tamper");
     let mut args = base.to_vec();
     args.extend(["--shards-from", dir.to_str().expect("utf-8 path")]);
     let stderr = assert_rejected(AUDIT, &args);
