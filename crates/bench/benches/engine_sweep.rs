@@ -7,14 +7,15 @@
 //! `{1, 2, 4}` thread ladder
 //! (always emitted, even on small boxes, where the extra rows measure
 //! oversubscription). Since PR 3 the default engine path is odometer
-//! enumeration with delta-evaluated verdicts and digit-key memoization;
+//! enumeration with delta-evaluated verdicts and verdict memoization;
 //! this bench also times the `DecodeOracle` reference strategy, the
 //! memo-disabled delta path, and the symmetry-quotient strategy (only
 //! canonical orbit representatives inspected), so the JSON records
 //! exactly what each layer buys. All modes and strategies must return
 //! identical graphs (the executor's determinism contract); the harness
 //! asserts it before recording timings, then writes the medians — plus
-//! the machine's thread count, a per-size `scaling_efficiency` table
+//! a `host` block (`available_parallelism`, build profile, rustc), the
+//! machine's thread count, a per-size `scaling_efficiency` table
 //! (t1/t2 and t1/t4 speedups), and the engine's small-universe
 //! sequential-fallback threshold, so single-core results read honestly —
 //! to `BENCH_engine.json` at the repository root, together with per-size
@@ -385,7 +386,8 @@ fn write_json(
         seen
     };
     let mut doc = ReportDoc::new();
-    doc.scalar("threads", threads)
+    doc.scalar("host", report::host_block())
+        .scalar("threads", threads)
         .scalar("parallel_threshold", PARALLEL_THRESHOLD);
     // Headline recorder overhead: the largest measured size, where the
     // fixed per-sweep cost is most amortized.

@@ -59,6 +59,28 @@ impl ReportDoc {
     }
 }
 
+/// The host a report was measured on, as one JSON object: the cores the
+/// process may use (`available_parallelism`), the build profile and the
+/// compiler. Timings from different hosts are not comparable, and a
+/// thread ladder means nothing past the core count.
+pub fn host_block() -> String {
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let rustc = std::process::Command::new("rustc")
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |v| v.trim().replace('"', "'"));
+    format!(
+        "{{ \"available_parallelism\": {cores}, \"profile\": \"{profile}\", \"rustc\": \"{rustc}\" }}"
+    )
+}
+
 /// The standard `benches` rows: one `{ "name", "median_ns" }` per result,
 /// in measurement order.
 pub fn bench_rows(results: &[BenchResult]) -> Vec<String> {

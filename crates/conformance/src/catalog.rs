@@ -56,13 +56,13 @@ pub const MUTANTS: &[Mutant] = &[
     Mutant {
         name: "memo_key_class_collision",
         host: "hiding-lcp-core",
-        site: "verdict memo keys every node with skeleton class 0",
-        expected_killers: &["delta_mixed_blocks_resync"],
+        site: "verdict memo files every node in skeleton class 0's dense table",
+        expected_killers: &["delta_mixed_blocks_resync", "delta_mixed_alphabets"],
     },
     Mutant {
         name: "digit_key_slot_alias",
         host: "hiding-lcp-core",
-        site: "digit-key packing aliases digits past slot 2 onto slot 2",
+        site: "dense memo index aliases digits past slot 2 onto slot 2",
         expected_killers: &["memo_digit_slots"],
     },
     Mutant {

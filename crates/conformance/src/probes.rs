@@ -18,7 +18,7 @@ use hiding_lcp_core::instance::{Instance, LabeledInstance};
 use hiding_lcp_core::label::{Certificate, Labeling};
 use hiding_lcp_core::language::KCol;
 use hiding_lcp_core::lower::PortObliviousCycleDecoder;
-use hiding_lcp_core::nbhd::NbhdGraph;
+use hiding_lcp_core::nbhd::{NbhdGraph, NbhdSweep};
 use hiding_lcp_core::network::degradation::degradation_sweep;
 use hiding_lcp_core::network::{FaultPlan, FaultRates};
 use hiding_lcp_core::properties::completeness::check_completeness;
@@ -49,6 +49,7 @@ pub const ALL: &[(&str, fn())] = &[
     ("view_radius_structure", view_radius_structure),
     ("delta_oracle_parity_cycles", delta_oracle_parity_cycles),
     ("delta_mixed_blocks_resync", delta_mixed_blocks_resync),
+    ("delta_mixed_alphabets", delta_mixed_alphabets),
     ("delta_budget_resume_parity", delta_budget_resume_parity),
     ("memo_digit_slots", memo_digit_slots),
     ("short_circuit_count", short_circuit_count),
@@ -174,6 +175,28 @@ impl Decoder for TriangleSpotter {
                 .iter()
                 .any(|b| view.has_arc(a.to, b.to) || view.has_arc(b.to, a.to))
         }))
+    }
+}
+
+/// Accepts iff the center's certificate is one of the listed bytes.
+pub struct LabelIn(pub &'static [u8]);
+
+impl Decoder for LabelIn {
+    fn name(&self) -> String {
+        format!("label-in-{:?}", self.0)
+    }
+    fn radius(&self) -> usize {
+        1
+    }
+    fn id_mode(&self) -> IdMode {
+        IdMode::Anonymous
+    }
+    fn decide(&self, view: &View) -> Verdict {
+        Verdict::from(
+            self.0
+                .iter()
+                .any(|&b| *view.center_label() == Certificate::from_byte(b)),
+        )
     }
 }
 
@@ -371,6 +394,65 @@ pub fn delta_mixed_blocks_resync() {
         } else {
             let expected = expected_tally(&LocalDiff, &items);
             assert_tally_parity(&LocalDiff, &universe, &expected);
+        }
+    }
+}
+
+/// Equal digits on blocks with different alphabets name different
+/// certificates: two C3 blocks over `[1, 2]` then `[0, 1]`, so digit 0 is
+/// certificate 1 in the first and certificate 0 in the second. Soundness
+/// and the Lemma 3.1 scan must match the oracle under delta stepping with
+/// and without the memo and under the quotient — a verdict memo or an
+/// interner front cache keyed by digits alone carries the first block's
+/// answers into the second.
+pub fn delta_mixed_alphabets() {
+    let c3 = Instance::canonical(generators::cycle(3));
+    let alphabets = [[1u8, 2], [0, 1]].map(|a| a.map(Certificate::from_byte).to_vec());
+    let block = |alphabet: &Vec<Certificate>| {
+        let alphabet = alphabet.clone();
+        Block::new(c3.clone(), LabelSource::All { alphabet })
+    };
+    let blocks = alphabets.iter().map(block).collect();
+    let universe = Universe::new(blocks, Coverage::Exhaustive).expect("16 labelings fit");
+    let items: Vec<LabeledInstance> = alphabets
+        .iter()
+        .flat_map(|a| oracle::all_labelings(3, a))
+        .map(|l| c3.clone().with_labeling(l))
+        .collect();
+    let memo_off = SweepOpts {
+        memo: false,
+        ..SweepOpts::default()
+    };
+    let runs = [
+        SweepOpts::oracle(),
+        SweepOpts::default(),
+        memo_off,
+        SweepOpts::quotient(),
+    ];
+    for decoder in [LabelIn(&[0]), LabelIn(&[0, 1])] {
+        let violation = items.iter().find(|li| {
+            oracle::run_by_definition(&decoder, li.instance(), li.labeling())
+                .iter()
+                .all(|v| v.is_accept())
+        });
+        let reference = oracle::ViewGraph::build(&decoder, &items, |_| true);
+        for opts in runs {
+            let what = format!("{} under {opts:?}", decoder.name());
+            let session = SweepSession::over(&universe)
+                .mode(ExecMode::Parallel(1))
+                .opts(opts);
+            let sound = session.run(&SoundnessCheck { decoder: &decoder }).verdict;
+            assert_eq!(
+                sound.err().map(|v| v.labeling),
+                violation.map(|li| li.labeling().clone()),
+                "{what}: soundness"
+            );
+            let scan = NbhdSweep::new(&decoder, IdMode::Anonymous, &universe, |_| true);
+            let nbhd = session.run(&scan).verdict.graph;
+            assert_eq!(nbhd.views(), &reference.views[..], "{what}: views");
+            assert_eq!(nbhd.edge_count(), reference.edges.len(), "{what}: edges");
+            let loops = reference.self_loops.iter().filter(|&&l| l).count();
+            assert_eq!(nbhd.self_loop_views().len(), loops, "{what}: loops");
         }
     }
 }

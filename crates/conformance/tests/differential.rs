@@ -13,7 +13,7 @@ use hiding_lcp_core::instance::{Instance, LabeledInstance};
 use hiding_lcp_core::label::{Certificate, Labeling};
 use hiding_lcp_core::language::KCol;
 use hiding_lcp_core::lower::PortObliviousCycleDecoder;
-use hiding_lcp_core::nbhd::NbhdSweep;
+use hiding_lcp_core::nbhd::{NbhdGraph, NbhdSweep};
 use hiding_lcp_core::properties::completeness::check_completeness;
 use hiding_lcp_core::properties::erasure::erase_and_run;
 use hiding_lcp_core::properties::invariance::InvarianceCheck;
@@ -250,6 +250,78 @@ fn hiding_matches_oracle() {
     }
 }
 
+/// A decoder that reads identifiers under an anonymous scan: node 0's
+/// anonymous view (certificate 0 at a path end) is rejected in the first
+/// instance, where its identifier is 5, and accepted in the second, where
+/// its identifier is 1. Its verdict is no function of its anonymous view,
+/// so the scan must pair rejecting nodes too: the edge from that view to
+/// its neighbor's is witnessed only by the instance that rejects it, and
+/// must survive. The oracle pairs accepting nodes only, so it agrees on
+/// the views and the Lemma 3.2 verdict, not on that edge.
+#[test]
+fn id_reading_decoder_keeps_edges_witnessed_by_a_rejecting_node() {
+    let bound = IdAssignment::canonical(2).bound().max(5);
+    let p2 = |ids: [u64; 2], labels: [u8; 2]| {
+        let ids = IdAssignment::from_ids(ids.to_vec(), bound).expect("distinct ids in bound");
+        Instance::with_ids(generators::path(2), ids)
+            .expect("two ids for two nodes")
+            .with_labeling(labels.map(Certificate::from_byte).into_iter().collect())
+    };
+    let items = vec![p2([5, 1], [0, 1]), p2([1, 5], [0, 2])];
+    let zero = items[0].view(0, 0, IdMode::Anonymous);
+    assert_eq!(zero, items[1].view(0, 0, IdMode::Anonymous), "one view");
+    let universe = Universe::from_labeled(items.clone(), Coverage::Sampled).expect("two items");
+    let reference = ViewGraph::build(&SmallId, &items, bipartite::is_bipartite);
+    let built = NbhdGraph::build(
+        &SmallId,
+        IdMode::Anonymous,
+        items.clone(),
+        bipartite::is_bipartite,
+    );
+    let edge_to_zero = |g: &NbhdGraph, what: &str| {
+        let x = g.index_of(&zero).expect("accepted in the second instance");
+        assert_eq!(g.edge_count(), 1, "{what}: one edge");
+        let y = g
+            .neighbors(x)
+            .next()
+            .expect("the edge to the zero view survives");
+        let (inst, _) = g.edge_witness(x, y).expect("edge witness");
+        assert_eq!(
+            g.instances()[inst],
+            items[0],
+            "{what}: witnessed where it rejects"
+        );
+    };
+    edge_to_zero(&built, "build");
+    assert_eq!(built.views(), &reference.views[..], "build: views");
+    assert_eq!(
+        built.k_colorable(2),
+        !reference.hiding(2),
+        "build: Lemma 3.2"
+    );
+    for mode in modes() {
+        for opts in strategies() {
+            let check = NbhdSweep::new(
+                &SmallId,
+                IdMode::Anonymous,
+                &universe,
+                bipartite::is_bipartite,
+            )
+            .with_hiding(2);
+            let verdict = SweepSession::over(&universe)
+                .mode(mode)
+                .opts(opts)
+                .run(&check)
+                .verdict;
+            let what = format!("sweep under {mode:?} {opts:?}");
+            edge_to_zero(&verdict.graph, &what);
+            assert_eq!(verdict.graph.views(), built.views(), "{what}: views");
+            let hiding = verdict.hiding.expect("hiding requested").is_hiding();
+            assert_eq!(hiding, reference.hiding(2), "{what}: Lemma 3.2");
+        }
+    }
+}
+
 #[test]
 fn quantified_matches_oracle() {
     let instance = Instance::canonical(generators::cycle(4));
@@ -444,7 +516,7 @@ use hiding_lcp_core::verify::{
 /// Asserts the walk/orbit/memo accounting of one recorded run. Holds for
 /// every strategy: non-quotient walks inspect with multiplicity one, a
 /// *complete* quotient walk re-weights to exactly the universe size, and
-/// every delta-channel decision consults the digit-key memo exactly once.
+/// every delta-channel decision consults the verdict memo exactly once.
 fn assert_counter_invariants(
     recorder: &MetricsRecorder,
     universe: &Universe,

@@ -27,6 +27,7 @@ use crate::verify::{Block, Coverage, LabelSource, Universe};
 use crate::view::{IdMode, View};
 use hiding_lcp_graph::algo::bipartite;
 use hiding_lcp_graph::Graph;
+use std::collections::HashSet;
 
 /// The outcome of [`refute`].
 #[derive(Debug, Clone)]
@@ -62,16 +63,31 @@ pub struct Refutation {
 
 /// Attempts to realize the views of `walk` (an odd cycle in `nbhd`) as a
 /// `G_bad` instance via Lemma 5.1, drawing reference views from every
-/// node of the folded yes-instances ([`NbhdGraph::seen_views`], in
-/// first-occurrence order, which [`find_plan`] searches first to last).
+/// node of `yes_instances` — the labeled yes-instances `nbhd` was built
+/// from — deduplicated in first-occurrence order, which [`find_plan`]
+/// searches first to last.
 ///
 /// Only meaningful for [`IdMode::Full`] neighborhood graphs.
-pub fn try_realize_walk(nbhd: &NbhdGraph, walk: &[usize]) -> Option<Realization> {
+pub fn try_realize_walk(
+    nbhd: &NbhdGraph,
+    walk: &[usize],
+    yes_instances: &[LabeledInstance],
+) -> Option<Realization> {
     if nbhd.id_mode() != IdMode::Full {
         return None;
     }
     let views: Vec<View> = walk.iter().map(|&i| nbhd.view(i).clone()).collect();
-    let plan = find_plan(&views, nbhd.seen_views()).ok()?;
+    let mut seen = HashSet::new();
+    let pool: Vec<View> = yes_instances
+        .iter()
+        .flat_map(|li| {
+            li.graph()
+                .nodes()
+                .map(|v| li.view(v, nbhd.radius(), IdMode::Full))
+        })
+        .filter(|view| seen.insert(view.clone()))
+        .collect();
+    let plan = find_plan(&views, &pool).ok()?;
     let realization = realize(&plan).ok()?;
     // All walk views must be reproduced exactly.
     views
@@ -99,13 +115,17 @@ where
     F: Fn(&Graph) -> bool,
 {
     let two_col = KCol::new(2);
-    let nbhd = NbhdGraph::build(decoder, id_mode, universe, is_yes);
+    let yes: Vec<LabeledInstance> = universe
+        .into_iter()
+        .filter(|li| is_yes(li.graph()))
+        .collect();
+    let nbhd = NbhdGraph::build(decoder, id_mode, yes.clone(), |_| true);
     let Some(odd_walk) = nbhd.odd_cycle() else {
         return RefutationOutcome::NoHidingWitness;
     };
     // Route 1: realize the odd cycle as G_bad (Lemma 5.1).
     if odd_walk.len() >= 3 {
-        if let Some(realization) = try_realize_walk(&nbhd, &odd_walk) {
+        if let Some(realization) = try_realize_walk(&nbhd, &odd_walk, &yes) {
             let instance = realization.labeled.instance().clone();
             let labeling = realization.labeled.labeling().clone();
             if let Err(violation) = strong_holds_for(decoder, &two_col, &instance, &labeling) {

@@ -17,10 +17,11 @@
 //!   plain step, patching a stale verdict scratch instead of recomputing.
 //! * `delta_ball_misindex` — ball inversion skips each skeleton's first
 //!   (center) node, so a node's own digit never re-decides it.
-//! * `memo_key_class_collision` — the verdict memo keys every node with
-//!   skeleton class 0, colliding distinct local structures.
-//! * `digit_key_slot_alias` — digit-key packing aliases every digit past
-//!   slot 2 onto slot 2.
+//! * `memo_key_class_collision` — the verdict memo files every node in
+//!   skeleton class 0's dense table, colliding distinct local structures
+//!   and alphabets.
+//! * `digit_key_slot_alias` — the dense memo index writes every digit
+//!   past slot 2 over slot 2's digit.
 //! * `interner_always_fresh` — the view interner mints a fresh id on
 //!   every call, breaking "distinct id ⟺ distinct view".
 //! * `checked_off_by_one` — the panel reduce reports a short-circuited

@@ -11,15 +11,23 @@
 //!
 //! `V(D, n)` is a union over labeled yes-instances, so the iteration folds
 //! item by item into an [`NbhdSummary`] and summaries merge in any order.
-//! The summary keeps first witnesses only: for every view seen in a
-//! yes-instance its first occurrence and its first accepting node, and for
-//! every unordered pair of views adjacent in a yes-instance (self pairs
-//! included) its first edge. Materializing it keeps the accepted views in
-//! first-witness order, turns a pair into an edge or a self-loop only when
-//! both of its views are accepted, and clones only the witness instances.
-//! Pairs cover every view seen, not only accepted ones: a view rejected in
-//! one instance can be accepted in another when the decoder reads
-//! identifiers, so which pairs become live is known only at the end.
+//! The summary keeps first witnesses only: for every view accepted in a
+//! yes-instance its first accepting node, and for every unordered pair of
+//! views adjacent in a yes-instance (self pairs included) its first edge.
+//! Materializing it keeps the accepted views in first-witness order, turns
+//! a pair into an edge or a self-loop only when both of its views are
+//! accepted, and clones only the witness instances.
+//!
+//! Which nodes the fold reads depends on whether a node's verdict is a
+//! function of its view in the graph's id mode: it is when the graph's
+//! views keep at least the identifier information the decoder reads
+//! (Full ⊒ OrderOnly ⊒ Anonymous), as for every audit decoder. Then a
+//! view is accepted everywhere or nowhere, so the fold never interns a
+//! rejecting node, pairs only two accepting nodes, and skips an item with
+//! no accepting node. Otherwise (the decoder reads identifiers the views
+//! drop) a view rejected in one instance can be accepted in another, so
+//! pairs cover every node and which pairs become live is known only at
+//! the end.
 //!
 //! The engine runs that fold as [`NbhdSweep`]: workers fold their items
 //! into one summary each ([`PropertyCheck::fold_partial`]), fragments and
@@ -85,6 +93,18 @@ impl Hasher for IdHasher {
 /// The first witness per key.
 type Firsts<K> = HashMap<K, Witness, BuildHasherDefault<IdHasher>>;
 
+/// Whether a node's verdict is a function of its view in `scan` mode when
+/// the decoder canonicalizes views in `decoder` mode: the scan keeps at
+/// least the identifier information the decoder reads (Full ⊒ OrderOnly ⊒
+/// Anonymous), so equal scan views mean equal decoder views.
+fn verdict_follows_view(scan: IdMode, decoder: IdMode) -> bool {
+    match scan {
+        IdMode::Full => true,
+        IdMode::OrderOnly => decoder != IdMode::Full,
+        IdMode::Anonymous => decoder == IdMode::Anonymous,
+    }
+}
+
 fn note<K: Hash + Eq>(firsts: &mut Firsts<K>, key: K, witness: Witness) {
     firsts
         .entry(key)
@@ -97,8 +117,6 @@ fn note<K: Hash + Eq>(firsts: &mut Firsts<K>, key: K, witness: Witness) {
 /// an element-wise minimum, so it is associative and commutative.
 #[derive(Debug, Clone, Default)]
 pub struct NbhdSummary {
-    /// Per view seen in a yes-instance, its first occurrence.
-    seen: Firsts<ViewId>,
     /// Per view accepted somewhere, its first accepting node.
     accepted: Firsts<ViewId>,
     /// Per candidate pair (self pairs included), its first edge.
@@ -106,24 +124,37 @@ pub struct NbhdSummary {
 }
 
 impl NbhdSummary {
-    /// Folds the labeled yes-instance numbered `item`: node `v` has view
-    /// `ids[v]` and accepts iff `accepts(v)`.
-    fn absorb(
-        &mut self,
+    /// The summary of the labeled yes-instance numbered `item`, whose node
+    /// `v` accepts iff `accepts(v)` and has the view `id(v)` interns. With
+    /// `accepting_only` (see [`verdict_follows_view`]) rejecting nodes are
+    /// neither interned nor paired, and an item with no accepting node has
+    /// no summary.
+    fn of_item(
         item: usize,
         graph: &Graph,
-        ids: &[ViewId],
+        accepting_only: bool,
         accepts: impl Fn(usize) -> bool,
-    ) {
+        mut id: impl FnMut(usize) -> ViewId,
+    ) -> Option<NbhdSummary> {
+        if accepting_only && !graph.nodes().any(&accepts) {
+            return None;
+        }
+        let ids: Vec<Option<ViewId>> = graph
+            .nodes()
+            .map(|v| (!accepting_only || accepts(v)).then(|| id(v)))
+            .collect();
+        let mut summary = NbhdSummary::default();
         for (v, &id) in ids.iter().enumerate() {
-            note(&mut self.seen, id, (item, v));
-            if accepts(v) {
-                note(&mut self.accepted, id, (item, v));
+            if let (Some(id), true) = (id, accepts(v)) {
+                note(&mut summary.accepted, id, (item, v));
             }
         }
         for (pos, (u, v)) in graph.edges().enumerate() {
-            self.note_pair(ids[u], ids[v], (item, pos));
+            if let (Some(a), Some(b)) = (ids[u], ids[v]) {
+                summary.note_pair(a, b, (item, pos));
+            }
         }
+        Some(summary)
     }
 
     fn note_pair(&mut self, a: ViewId, b: ViewId, witness: Witness) {
@@ -132,12 +163,9 @@ impl NbhdSummary {
 
     /// Merges `other` in: the element-wise minimum of the two summaries.
     pub fn merge(&mut self, mut other: NbhdSummary) {
-        let len = |s: &NbhdSummary| s.seen.len() + s.pairs.len();
+        let len = |s: &NbhdSummary| s.accepted.len() + s.pairs.len();
         if len(&other) > len(self) {
             std::mem::swap(self, &mut other);
-        }
-        for (id, w) in other.seen {
-            note(&mut self.seen, id, w);
         }
         for (id, w) in other.accepted {
             note(&mut self.accepted, id, w);
@@ -147,18 +175,14 @@ impl NbhdSummary {
         }
     }
 
-    /// Number of distinct views seen in a yes-instance.
-    pub fn views_seen(&self) -> usize {
-        self.seen.len()
-    }
-
     /// Number of views accepted somewhere.
     pub fn views_accepted(&self) -> usize {
         self.accepted.len()
     }
 
     /// Number of candidate pairs: unordered pairs of views adjacent in a
-    /// yes-instance, self pairs included, accepted or not.
+    /// yes-instance, self pairs included — of two accepting nodes when the
+    /// verdict follows the view, of any two nodes otherwise.
     pub fn candidate_pairs(&self) -> usize {
         self.pairs.len()
     }
@@ -166,31 +190,26 @@ impl NbhdSummary {
     /// The summary's witnesses as portable lines (view ids stay behind),
     /// grouped in [`SummaryLine`] order and strictly increasing.
     pub(crate) fn wire_lines(&self) -> Vec<(SummaryLine, Witness)> {
-        let seen = self.seen.values().map(|&w| (SummaryLine::Seen, w));
         let accepted = self.accepted.values().map(|&w| (SummaryLine::Accepted, w));
         let pairs = self.pairs.values().map(|&w| (SummaryLine::Pair, w));
-        let mut lines: Vec<(SummaryLine, Witness)> = seen.chain(accepted).chain(pairs).collect();
+        let mut lines: Vec<(SummaryLine, Witness)> = accepted.chain(pairs).collect();
         lines.sort_unstable();
         lines
     }
 }
 
 /// The kind of one [`NbhdSummary`] wire line, in shipping order: a view's
-/// first occurrence (`v item node`), its first accept (`a item node`) and
-/// a candidate pair's first edge (`c item pos`).
+/// first accept (`a item node`) and a candidate pair's first edge
+/// (`c item pos`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum SummaryLine {
-    Seen,
     Accepted,
     Pair,
 }
 
 impl SummaryLine {
-    const TAGS: [(&'static str, SummaryLine); 3] = [
-        ("v", SummaryLine::Seen),
-        ("a", SummaryLine::Accepted),
-        ("c", SummaryLine::Pair),
-    ];
+    const TAGS: [(&'static str, SummaryLine); 2] =
+        [("a", SummaryLine::Accepted), ("c", SummaryLine::Pair)];
 
     /// The line's tag on the wire.
     pub(crate) fn tag(self) -> &'static str {
@@ -212,7 +231,8 @@ impl SummaryLine {
 /// extractability map ([`NbhdVerdict`]).
 ///
 /// Views are hash-consed through an owned [`ViewInterner`]: within one
-/// sweep every distinct view is stamped and stored once, and on the
+/// sweep every distinct view the fold keeps (every accepted view, when
+/// the verdict follows the view) is stamped and stored once, and on the
 /// executor's delta path the digit-key front cache resolves repeat views
 /// without stamping at all. The interner is part of the check's state, so
 /// a resumed fragment chain must reuse the *same* check instance for its
@@ -310,6 +330,11 @@ impl<'a, D: Decoder + ?Sized> NbhdSweep<'a, D> {
             .intern(ctx.view(item, v, radius, self.id_mode))
     }
 
+    /// Whether the fold skips rejecting nodes ([`verdict_follows_view`]).
+    fn accepting_only(&self) -> bool {
+        verdict_follows_view(self.id_mode, self.decoder.id_mode())
+    }
+
     /// The one-item summary of a yes-instance item; `accepts(v)` is node
     /// `v`'s verdict.
     fn summarize(
@@ -317,22 +342,22 @@ impl<'a, D: Decoder + ?Sized> NbhdSweep<'a, D> {
         item: &UniverseItem<'_>,
         ctx: &ItemCtx<'_>,
         accepts: impl Fn(usize) -> bool,
-    ) -> NbhdSummary {
-        let graph = item.instance.graph();
-        let ids: Vec<ViewId> = graph
-            .nodes()
-            .map(|v| self.intern_node(item, ctx, v))
-            .collect();
-        let mut summary = NbhdSummary::default();
-        summary.absorb(item.index, graph, &ids, accepts);
-        summary
+    ) -> Option<NbhdSummary> {
+        NbhdSummary::of_item(
+            item.index,
+            item.instance.graph(),
+            self.accepting_only(),
+            accepts,
+            |v| self.intern_node(item, ctx, v),
+        )
     }
 
     /// Re-stamps one shipped summary line into `summary`, interning into
     /// this sweep's table. The line is untrusted: `item` (already checked
     /// to lie in the report's range) must be a yes-instance, `at` a node
-    /// or edge position of it, and an accept witness must be a node the
-    /// decoder accepts.
+    /// or edge position of it, an accept witness must be a node the
+    /// decoder accepts, and when the fold skips rejecting nodes, so must
+    /// both ends of a pair.
     pub(crate) fn restamp(
         &self,
         universe: &Universe,
@@ -360,11 +385,13 @@ impl<'a, D: Decoder + ?Sized> NbhdSweep<'a, D> {
         }
         let radius = self.decoder.radius();
         let id = |v: usize| self.interner.intern(li.view(v, radius, self.id_mode));
+        let accepts = |v: usize| {
+            let view = li.view(v, radius, self.decoder.id_mode());
+            self.decoder.decide(&view).is_accept()
+        };
         match line {
-            SummaryLine::Seen => note(&mut summary.seen, id(at), (item, at)),
             SummaryLine::Accepted => {
-                let view = li.view(at, radius, self.decoder.id_mode());
-                if !self.decoder.decide(&view).is_accept() {
+                if !accepts(at) {
                     return Err(format!(
                         "accept witness `a {item} {at}` names a node the decoder rejects"
                     ));
@@ -374,6 +401,11 @@ impl<'a, D: Decoder + ?Sized> NbhdSweep<'a, D> {
             SummaryLine::Pair => {
                 // invariant: `at` was checked against the edge count.
                 let (u, v) = graph.edges().nth(at).expect("edge position in range");
+                if self.accepting_only() && !(accepts(u) && accepts(v)) {
+                    return Err(format!(
+                        "pair line `c {item} {at}` names an edge with an end the decoder rejects"
+                    ));
+                }
                 summary.note_pair(id(u), id(v), (item, at));
             }
         }
@@ -407,7 +439,7 @@ impl<D: Decoder + ?Sized> PropertyCheck for NbhdSweep<'_, D> {
                     .is_accept()
             })
             .collect();
-        Some(self.summarize(item, ctx, |v| accepts[v]))
+        self.summarize(item, ctx, |v| accepts[v])
     }
 
     fn verdict_decoder(&self) -> Option<&dyn Decoder> {
@@ -426,7 +458,10 @@ impl<D: Decoder + ?Sized> PropertyCheck for NbhdSweep<'_, D> {
         verdicts: &[Verdict],
         ctx: &ItemCtx<'_>,
     ) -> Option<NbhdSummary> {
-        self.block_yes[item.block].then(|| self.summarize(item, ctx, |v| verdicts[v].is_accept()))
+        if !self.block_yes[item.block] {
+            return None;
+        }
+        self.summarize(item, ctx, |v| verdicts[v].is_accept())
     }
 
     fn fold_partial(&self, acc: &mut NbhdSummary, next: NbhdSummary) -> Option<NbhdSummary> {
@@ -543,8 +578,6 @@ pub struct NbhdGraph {
     self_loops: HashMap<usize, (usize, (usize, usize))>,
     /// The witness instances, in iteration order.
     instances: Vec<LabeledInstance>,
-    /// Every view seen in a yes-instance, in first-occurrence order.
-    seen: Vec<View>,
     /// The incremental state behind [`NbhdGraph::extend`]; `None` for a
     /// graph reduced from a sweep.
     growth: Option<Growth>,
@@ -611,7 +644,6 @@ impl NbhdGraph {
             edge_witness: HashMap::new(),
             self_loops: HashMap::new(),
             instances: Vec::new(),
-            seen: Vec::new(),
             growth: Some(Growth::default()),
         }
     }
@@ -641,23 +673,23 @@ impl NbhdGraph {
             .growth
             .take()
             .expect("extend grows graphs from `empty` or `build`, not a sweep's");
+        let accepting_only = verdict_follows_view(self.id_mode, decoder.id_mode());
         for li in instances.into_iter().filter(|li| is_yes(li.graph())) {
             let item = growth.items;
             growth.items += 1;
             let verdicts = run(decoder, &li);
-            let ids: Vec<ViewId> = li
-                .graph()
-                .nodes()
-                .map(|v| {
-                    growth
-                        .interner
-                        .intern(li.view(v, self.radius, self.id_mode))
-                })
-                .collect();
-            growth
-                .summary
-                .absorb(item, li.graph(), &ids, |v| verdicts[v].is_accept());
-            growth.pending.insert(item, li);
+            let interner = &growth.interner;
+            let one = NbhdSummary::of_item(
+                item,
+                li.graph(),
+                accepting_only,
+                |v| verdicts[v].is_accept(),
+                |v| interner.intern(li.view(v, self.radius, self.id_mode)),
+            );
+            if let Some(one) = one {
+                growth.summary.merge(one);
+                growth.pending.insert(item, li);
+            }
         }
         let summary = &growth.summary;
         let named = summary.accepted.values().chain(summary.pairs.values());
@@ -686,14 +718,6 @@ impl NbhdGraph {
         table: Vec<View>,
         instance: impl Fn(usize) -> LabeledInstance,
     ) -> NbhdGraph {
-        // invariant: every id the summary names was minted by the table's
-        // interner, and `seen` takes each id's view once.
-        let mut table: Vec<Option<View>> = table.into_iter().map(Some).collect();
-        let view_of = |table: &[Option<View>], id: ViewId| {
-            table[id as usize]
-                .clone()
-                .expect("summary ids index the table")
-        };
         let mut accepted: Vec<(Witness, ViewId)> =
             summary.accepted.iter().map(|(&id, &w)| (w, id)).collect();
         accepted.sort_unstable();
@@ -723,7 +747,9 @@ impl NbhdGraph {
         nbhd.growth = None;
         nbhd.instances = items.iter().map(|&item| instance(item)).collect();
         for &((item, node), id) in &accepted {
-            let view = view_of(&table, id);
+            // invariant: every id the summary names was minted by the
+            // table's interner.
+            let view = table[id as usize].clone();
             nbhd.index.insert(view.clone(), nbhd.views.len());
             nbhd.views.push(view);
             nbhd.adj.push(BTreeSet::new());
@@ -749,17 +775,6 @@ impl NbhdGraph {
                 nbhd.edge_witness.insert((a.min(b), a.max(b)), (inst, edge));
             }
         }
-        let mut seen: Vec<(Witness, ViewId)> =
-            summary.seen.iter().map(|(&id, &w)| (w, id)).collect();
-        seen.sort_unstable();
-        nbhd.seen = seen
-            .into_iter()
-            .map(|(_, id)| {
-                table[id as usize]
-                    .take()
-                    .expect("summary ids index the table")
-            })
-            .collect();
         nbhd
     }
 
@@ -817,13 +832,6 @@ impl NbhdGraph {
     /// Other yes-instances are not retained.
     pub fn instances(&self) -> &[LabeledInstance] {
         &self.instances
-    }
-
-    /// Every view (in the graph's id mode) of every node of a folded
-    /// yes-instance, accepted or not, deduplicated in first-occurrence
-    /// order.
-    pub fn seen_views(&self) -> &[View] {
-        &self.seen
     }
 
     /// The witness instance and node where view `i` was first accepted.
@@ -1097,7 +1105,6 @@ mod tests {
         let named =
             |g: &NbhdGraph, (idx, at): (usize, (usize, usize))| (g.instances()[idx].clone(), at);
         assert_eq!(a.views(), b.views(), "{what}: views");
-        assert_eq!(a.seen_views(), b.seen_views(), "{what}: seen views");
         assert_eq!(a.edge_count(), b.edge_count(), "{what}: edges");
         assert_eq!(a.self_loop_views(), b.self_loop_views(), "{what}: loops");
         for i in 0..a.view_count() {

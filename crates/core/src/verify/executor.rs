@@ -22,9 +22,10 @@
 //! nodes in `ball(v)`, patching a per-thread verdict vector. This is sound
 //! because a node's verdict is a function of its radius-r view alone (the
 //! LCP model), and the view of `u` reads exactly the certificates of the
-//! nodes in `u`'s skeleton. A per-thread memo keyed on the packed
-//! `(skeleton class, ball digits)` identity ([`digit_key`]) short-cuts
-//! repeated local configurations without even stamping the view.
+//! nodes in `u`'s skeleton. A per-thread [`VerdictMemo`] short-cuts
+//! repeated local configurations without even stamping the view: one
+//! dense table per skeleton class, indexed by the ball's digits read as a
+//! mixed-radix number.
 //!
 //! The index-decoded path survives as [`SweepStrategy::DecodeOracle`]; the
 //! `engine_parity` suite proves the strategies observationally identical.
@@ -40,17 +41,18 @@
 //! skeleton instead of re-canonicalizing — the cache is read-only and
 //! lock-free while workers run. For an all-labelings block this turns
 //! `|alphabet|^n` BFS canonicalizations per node into one. Skeletons with
-//! equal protos additionally share a *class id* (assigned in build order,
-//! hence deterministic), the anchor of every digit-key memo.
+//! equal protos on blocks with equal alphabets additionally share a
+//! *class id* (assigned in build order, hence deterministic), the anchor
+//! of the verdict memo and of every digit key: a class pins the skeleton
+//! *and* which certificate each digit names.
 
 use super::budget::SweepError;
 use super::check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
-use super::interner::digit_key;
 use super::telemetry::WorkerTally;
 use super::universe::{Block, Coverage, LabelSource, Universe, UniverseItem};
 use crate::decoder::{Decoder, Verdict};
 use crate::instance::Instance;
-use crate::label::Labeling;
+use crate::label::{Certificate, Labeling};
 use crate::view::{IdMode, View, ViewSkeleton};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -101,12 +103,12 @@ pub enum SweepStrategy {
 }
 
 /// Engine tuning knobs. `Default` is the production configuration:
-/// delta-stepping enumeration with digit-key memoization enabled.
+/// delta-stepping enumeration with memoization enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepOpts {
     /// Enumeration strategy.
     pub strategy: SweepStrategy,
-    /// Whether digit-key memo layers (the executor's verdict memo and any
+    /// Whether memo layers (the executor's verdict memo and any
     /// check-side interner front cache, via [`ItemCtx::memo_enabled`]) are
     /// active. Disabling it must not change any verdict — only counters
     /// and wall-clock — which the parity suite asserts.
@@ -148,10 +150,12 @@ pub(super) struct SkeletonCache {
     /// `per_block[b][c][v]` = skeleton of node `v` in block `b` under
     /// configuration `c`.
     pub(super) per_block: Vec<Vec<Vec<ViewSkeleton>>>,
-    /// `class_of[b][c][v]` = dense id of the skeleton's proto: equal
-    /// protos (across nodes *and* blocks) share a class, so a `(class,
-    /// ball digits)` pair identifies a stamped view exactly. Assigned in
-    /// build order — deterministic for a given universe and config list.
+    /// `class_of[b][c][v]` = dense id of the skeleton's proto together
+    /// with block `b`'s `All` alphabet (if any): equal protos on blocks
+    /// with equal alphabets (across nodes *and* blocks) share a class, so
+    /// a `(class, ball digits)` pair identifies a stamped view exactly.
+    /// Assigned in build order — deterministic for a given universe and
+    /// config list.
     class_of: Vec<Vec<Vec<u32>>>,
     /// Skeletons computed while populating the cache.
     pub(super) populated: usize,
@@ -163,12 +167,30 @@ impl SkeletonCache {
         configs.sort_unstable_by_key(|&(r, m)| (r, m as u8));
         configs.dedup();
         let mut populated = 0;
-        let mut classes: HashMap<View, u32> = HashMap::new();
+        // Digits index the block's alphabet, so equal digits on blocks
+        // with different alphabets name different certificates: a class
+        // is a proto plus an alphabet id (0 for blocks without an `All`
+        // alphabet). Blocks rarely switch alphabets, so the last one is
+        // compared before hashing.
+        let mut alphabets: HashMap<&[Certificate], u32> = HashMap::new();
+        let mut last: Option<(&[Certificate], u32)> = None;
+        let mut classes: HashMap<(View, u32), u32> = HashMap::new();
         let mut class_of: Vec<Vec<Vec<u32>>> = Vec::with_capacity(universe.blocks().len());
         let per_block: Vec<Vec<Vec<ViewSkeleton>>> = universe
             .blocks()
             .iter()
             .map(|block| {
+                let alphabet = match (block.labels(), last) {
+                    (LabelSource::All { alphabet }, Some((prev, id))) if prev == alphabet => id,
+                    (LabelSource::All { alphabet }, _) => {
+                        let next =
+                            u32::try_from(alphabets.len() + 1).expect("alphabet count fits u32");
+                        let id = *alphabets.entry(alphabet).or_insert(next);
+                        last = Some((alphabet, id));
+                        id
+                    }
+                    _ => 0,
+                };
                 let mut block_classes = Vec::with_capacity(configs.len());
                 let per_config: Vec<Vec<ViewSkeleton>> = configs
                     .iter()
@@ -184,7 +206,7 @@ impl SkeletonCache {
                                 .map(|s| {
                                     let next =
                                         u32::try_from(classes.len()).expect("class count fits u32");
-                                    *classes.entry(s.proto().clone()).or_insert(next)
+                                    *classes.entry((s.proto().clone(), alphabet)).or_insert(next)
                                 })
                                 .collect::<Vec<u32>>(),
                         );
@@ -268,7 +290,7 @@ impl ItemCtx<'_> {
         View::extract(item.instance, labeling, v, radius, id_mode)
     }
 
-    /// Whether digit-key memo layers are enabled for this sweep (see
+    /// Whether memo layers are enabled for this sweep (see
     /// [`SweepOpts::memo`]). Checks with their own caches (e.g. the
     /// neighborhood scan's view interner front cache) honor this so
     /// "memo off" really exercises the unmemoized path.
@@ -457,6 +479,9 @@ pub(super) struct DeltaDriver<'a> {
     /// node `v`'s certificate (computed by inverting skeleton node
     /// orders). Empty for blocks outside the verdict fast path.
     balls: Vec<Vec<Vec<usize>>>,
+    /// `radix[b]` = block `b`'s alphabet size, the base its digits count
+    /// in (0 outside the verdict fast path).
+    radix: Vec<usize>,
     /// Whether block `b` gets the verdict fast path: an `All`-labeled
     /// block the check actually reads verdicts on.
     pub(super) verdict_blocks: Vec<bool>,
@@ -477,6 +502,15 @@ impl<'a> DeltaDriver<'a> {
             .iter()
             .enumerate()
             .map(|(b, block)| matches!(block.labels(), LabelSource::All { .. }) && uses_verdicts(b))
+            .collect();
+        let radix: Vec<usize> = universe
+            .blocks()
+            .iter()
+            .zip(&verdict_blocks)
+            .map(|(block, &fast)| match block.labels() {
+                LabelSource::All { alphabet } if fast => alphabet.len(),
+                _ => 0,
+            })
             .collect();
         let balls = universe
             .blocks()
@@ -508,6 +542,7 @@ impl<'a> DeltaDriver<'a> {
             decoder,
             config,
             balls,
+            radix,
             verdict_blocks,
         }
     }
@@ -586,9 +621,45 @@ pub(super) struct VerdictScratch {
     pending: Vec<usize>,
 }
 
-/// Per-thread digit-key verdict memo (lock-free: each worker owns one).
+/// Entries of the largest dense memo table: a ball whose digit space
+/// (`|alphabet|^|ball|`) is larger is decided directly, unmemoized.
+const MEMO_TABLE_MAX: usize = 1 << 20;
+
+/// A memo table entry: not yet decided.
+const UNKNOWN: u8 = 0;
+/// A memo table entry: the decoder accepts.
+const ACCEPTS: u8 = 1;
+/// A memo table entry: the decoder rejects.
+const REJECTS: u8 = 2;
+
+/// One skeleton class's memo: a dense table with one byte per digit
+/// assignment of the class's ball ([`memo_index`]), or none when that
+/// table would exceed [`MEMO_TABLE_MAX`] entries.
+enum MemoTable {
+    Dense(Box<[u8]>),
+    Direct,
+}
+
+impl MemoTable {
+    /// The memo of a class whose ball has `ball` nodes over a `k`-letter
+    /// alphabet.
+    fn new(k: usize, ball: usize) -> MemoTable {
+        let len = u32::try_from(ball).ok().and_then(|b| k.checked_pow(b));
+        match len.filter(|&len| len <= MEMO_TABLE_MAX) {
+            Some(len) => MemoTable::Dense(vec![UNKNOWN; len].into_boxed_slice()),
+            None => MemoTable::Direct,
+        }
+    }
+}
+
+/// Per-thread verdict memo (lock-free: each worker owns one): one
+/// [`MemoTable`] per skeleton class, made on first touch. A class pins
+/// the ball's nodes and the alphabet its digits index, so an entry names
+/// one stamped view and hence one verdict.
 pub(super) struct VerdictMemo {
-    map: HashMap<u128, Verdict>,
+    /// `tables[class]`, `None` (or past the end) until the class is
+    /// first decided.
+    tables: Vec<Option<MemoTable>>,
     enabled: bool,
     pub(super) hits: usize,
     pub(super) misses: usize,
@@ -597,7 +668,7 @@ pub(super) struct VerdictMemo {
 impl VerdictMemo {
     pub(super) fn new(enabled: bool) -> VerdictMemo {
         VerdictMemo {
-            map: HashMap::new(),
+            tables: Vec::new(),
             enabled,
             hits: 0,
             misses: 0,
@@ -605,8 +676,29 @@ impl VerdictMemo {
     }
 }
 
-/// One node's verdict: digit-key memo probe first (when enabled and the
-/// identity fits), decoder run on the stamped view otherwise.
+/// A ball's dense memo index: its digits in skeleton order read as a
+/// mixed-radix number in base `k`, `Σ digits[order[i]]·kⁱ` — below
+/// `k^|order|`, and distinct for distinct digit assignments.
+#[cfg_attr(not(conformance_mutants), allow(unused_variables))]
+fn memo_index(order: &[usize], digits: &[usize], k: usize) -> usize {
+    let mut index = 0;
+    let mut place = 1;
+    for (slot, &orig) in order.iter().enumerate() {
+        let digit = digits[orig];
+        #[cfg(conformance_mutants)]
+        if crate::mutants::active("digit_key_slot_alias") && slot > 2 {
+            // Overwrites slot 2's digit instead of taking a place of its own.
+            index = index % (k * k) + digit * k * k;
+            continue;
+        }
+        index += digit * place;
+        place *= k;
+    }
+    index
+}
+
+/// One node's verdict: a dense memo probe first (when enabled and the
+/// ball's table fits), decoder run on the stamped view otherwise.
 fn node_verdict(
     driver: &DeltaDriver<'_>,
     cache: &SkeletonCache,
@@ -618,20 +710,37 @@ fn node_verdict(
 ) -> Verdict {
     let skel = &cache.per_block[block][driver.config][u];
     if memo.enabled {
-        let class = cache.class_of[block][driver.config][u];
+        let class = cache.class_of[block][driver.config][u] as usize;
         #[cfg(conformance_mutants)]
         let class = if crate::mutants::active("memo_key_class_collision") {
             0
         } else {
             class
         };
-        if let Some(key) = digit_key(class, skel.original_nodes(), digits) {
-            if let Some(&verdict) = memo.map.get(&key) {
-                memo.hits += 1;
-                return verdict;
+        let (order, k) = (skel.original_nodes(), driver.radix[block]);
+        if class >= memo.tables.len() {
+            memo.tables.resize_with(class + 1, || None);
+        }
+        let table = memo.tables[class].get_or_insert_with(|| MemoTable::new(k, order.len()));
+        if let MemoTable::Dense(table) = table {
+            let index = memo_index(order, digits, k);
+            match table[index] {
+                ACCEPTS => {
+                    memo.hits += 1;
+                    return Verdict::Accept;
+                }
+                REJECTS => {
+                    memo.hits += 1;
+                    return Verdict::Reject;
+                }
+                _ => {}
             }
             let verdict = driver.decoder.decide(&skel.stamp(labeling));
-            memo.map.insert(key, verdict);
+            table[index] = if verdict.is_accept() {
+                ACCEPTS
+            } else {
+                REJECTS
+            };
             memo.misses += 1;
             return verdict;
         }

@@ -53,7 +53,7 @@
 //!   div/mod decoding, and checks exposing a
 //!   [`PropertyCheck::verdict_decoder`] get *delta-evaluated* verdicts:
 //!   only nodes whose radius-r ball contains the changed digit are
-//!   re-decided, with a digit-keyed memo ([`interner`]) short-cutting
+//!   re-decided, with a dense per-class verdict memo short-cutting
 //!   repeated local configurations. The decode-from-index oracle survives
 //!   as [`SweepStrategy::DecodeOracle`] and the `engine_parity` suite
 //!   proves the two paths observationally identical.

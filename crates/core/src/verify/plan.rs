@@ -324,7 +324,7 @@ impl<'p> LabelingsMembers<'p> {
                 }))
             }
             MemberKind::Summary => Err(format!(
-                "`p` line at item {item} for a summary member, which ships `v`, `a` and `c` lines"
+                "`p` line at item {item} for a summary member, which ships `a` and `c` lines"
             )),
         }
     }
@@ -1940,7 +1940,7 @@ mod tests {
         let join =
             |lines: &[String]| -> String { lines.iter().map(|l| l.clone() + "\n").collect() };
         // Partial lines: violations (`p`) and summary witnesses.
-        let is_partial = |line: &str| ["p ", "v ", "a ", "c "].iter().any(|t| line.starts_with(t));
+        let is_partial = |line: &str| ["p ", "a ", "c "].iter().any(|t| line.starts_with(t));
         // Shard `s`'s report with every line tagged `tag` replaced by one
         // forged `line`, which keeps the lines in order.
         let forge = |s: usize, tag: &str, line: String| {
@@ -1964,6 +1964,8 @@ mod tests {
         assert!(err.contains("rejects"), "accept witness re-decided: {err}");
         let err = merge_forged("c ", "c 25 0");
         assert!(err.contains("no-instance"), "pair block checked: {err}");
+        let err = merge_forged("c ", "c 0 0");
+        assert!(err.contains("rejects"), "pair ends re-decided: {err}");
         let mut items_tampered = 0;
         for (s, report) in reports.iter().enumerate() {
             let (lo, hi) = ShardSpec::new(s, 2).range(n);

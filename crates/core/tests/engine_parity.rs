@@ -15,7 +15,7 @@
 //!
 //! The suite also proves the engine's enumeration strategies equivalent:
 //! the odometer/delta-evaluation hot path (`SweepStrategy::DeltaStepping`,
-//! with and without digit-key memoization) against the decode-from-index
+//! with and without memoization) against the decode-from-index
 //! oracle (`SweepStrategy::DecodeOracle`), over exhaustive, mixed-source
 //! and multi-block universes, including budgeted resume chains and the
 //! full structural identity of Lemma 3.1 neighborhood graphs.
@@ -175,7 +175,7 @@ fn mixed_universe(n: usize) -> Universe {
 
 /// Structural equality of two neighborhood graphs — `NbhdGraph` has no
 /// `PartialEq`, so compare every observable: views (in insertion order),
-/// seen views, adjacency, self-loops and all witnesses. A witness indexes
+/// adjacency, self-loops and all witnesses. A witness indexes
 /// its own graph's witness instances, so witnesses compare by the
 /// instance they name, not by index.
 fn assert_nbhd_eq(a: &NbhdGraph, b: &NbhdGraph) -> Result<(), TestCaseError> {
@@ -184,7 +184,6 @@ fn assert_nbhd_eq(a: &NbhdGraph, b: &NbhdGraph) -> Result<(), TestCaseError> {
     }
     prop_assert_eq!(a.view_count(), b.view_count());
     prop_assert_eq!(a.views(), b.views());
-    prop_assert_eq!(a.seen_views(), b.seen_views());
     prop_assert_eq!(a.edge_count(), b.edge_count());
     prop_assert_eq!(a.self_loop_views(), b.self_loop_views());
     for i in 0..a.view_count() {
@@ -429,7 +428,7 @@ proptest! {
 
     #[test]
     fn memoized_and_unmemoized_sweeps_agree(code in 0u8..64, shape in 0u8..2, n in 3usize..7) {
-        // Disabling the digit-key memo layers may only change counters,
+        // Disabling the memo layers may only change counters,
         // never verdicts.
         let decoder = PortObliviousCycleDecoder::from_code(code);
         let instance = cycle_or_path(shape, n);

@@ -131,8 +131,11 @@ fn main() {
     // Act II: the Lemma 5.1 realization route, on the accept-everything
     // decoder with the pentagon universe.
     println!("\n== Act II: accept-everything decoder (realization route) ==");
-    let universe = pentagon_universe();
-    let nbhd = NbhdGraph::build(&YesMan, IdMode::Full, universe, |g| {
+    let universe: Vec<_> = pentagon_universe()
+        .into_iter()
+        .filter(|li| bipartite::is_bipartite(li.graph()))
+        .collect();
+    let nbhd = NbhdGraph::build(&YesMan, IdMode::Full, universe.clone(), |g| {
         bipartite::is_bipartite(g)
     });
     println!(
@@ -157,7 +160,8 @@ fn main() {
         })
         .collect();
     println!("candidate odd view cycle: centers with ids 1..=5");
-    let realization = try_realize_walk(&nbhd, &walk).expect("the pentagon cycle is realizable");
+    let realization =
+        try_realize_walk(&nbhd, &walk, &universe).expect("the pentagon cycle is realizable");
     let g_bad = realization.labeled.graph();
     println!(
         "G_bad realized: {} nodes, {} edges, bipartite: {}",

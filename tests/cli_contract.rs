@@ -83,8 +83,14 @@ fn audit_merge_rejects_an_out_of_range_item() {
     }
     let first = dir.join("shard-0.txt");
     let report = std::fs::read_to_string(&first).expect("shard 0 report");
-    assert!(report.contains("\nv 0 0\n"), "{report}");
-    std::fs::write(&first, report.replace("\nv 0 0\n", "\nv 99999 0\n")).expect("tamper");
+    let mut lines: Vec<String> = report.lines().map(str::to_string).collect();
+    let line = lines
+        .iter_mut()
+        .find(|l| l.starts_with("a "))
+        .expect("an accept witness line");
+    let node = line.rsplit(' ').next().expect("node token").to_string();
+    *line = format!("a 99999 {node}");
+    std::fs::write(&first, lines.join("\n") + "\n").expect("tamper");
     let mut args = base.to_vec();
     args.extend(["--shards-from", dir.to_str().expect("utf-8 path")]);
     let stderr = assert_rejected(AUDIT, &args);

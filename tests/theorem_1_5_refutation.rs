@@ -133,7 +133,11 @@ fn edge3_is_refuted_adversarially() {
 
 #[test]
 fn pentagon_cycle_realizes_g_bad() {
-    let nbhd = NbhdGraph::build(&YesMan, IdMode::Full, pentagon_universe(), |g| {
+    let yes: Vec<LabeledInstance> = pentagon_universe()
+        .into_iter()
+        .filter(|li| bipartite::is_bipartite(li.graph()))
+        .collect();
+    let nbhd = NbhdGraph::build(&YesMan, IdMode::Full, yes.clone(), |g| {
         bipartite::is_bipartite(g)
     });
     let pent = |i: i64| -> u64 { ((i - 1).rem_euclid(5) + 1) as u64 };
@@ -153,7 +157,7 @@ fn pentagon_cycle_realizes_g_bad() {
     for k in 0..5 {
         assert!(nbhd.has_edge(walk[k], walk[(k + 1) % 5]));
     }
-    let realization = try_realize_walk(&nbhd, &walk).expect("realizable");
+    let realization = try_realize_walk(&nbhd, &walk, &yes).expect("realizable");
     let g_bad = realization.labeled.graph();
     assert_eq!(g_bad.node_count(), 5);
     assert!(
